@@ -98,6 +98,11 @@ def cmd_solve_tabular(args):
         algorithm = _require(cfg, "algorithm")
         if algorithm not in ("max-entropy", "min-rel-entropy", "mt"):
             raise ConfigError(f"config error at $.algorithm: unknown {algorithm!r}")
+        if args.verify and space.size > mo.MAX_ORACLE_STATES:
+            raise ConfigError(
+                f"--verify supports at most {mo.MAX_ORACLE_STATES} states (the oracle "
+                f"cap), got {space.size}; use --no-verify"
+            )
         sched = _schedule_from(cfg)
         chain_cfg = cfg.get("chain", "decimation")
         if chain_cfg == "decimation":

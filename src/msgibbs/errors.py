@@ -58,7 +58,7 @@ class MassLeakage(MsgibbsError):
 
 
 class NegativeDivergenceInput(MsgibbsError):
-    """Bound evaluation received a negative relative-entropy term."""
+    """A relative-entropy term is negative (a computed one beyond rounding)."""
 
 
 class NonIntegerTeacherDepth(MsgibbsError):

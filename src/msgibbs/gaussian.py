@@ -14,6 +14,7 @@ from .errors import (
     DimensionMismatch,
     EmptyKeepSet,
     IndefinitePosterior,
+    NegativeDivergenceInput,
     NonpositiveTheta,
     SingularConditioningBlock,
 )
@@ -314,7 +315,8 @@ def kl_gaussian(p, q):
     delta = np.linalg.solve(q.chol, q.mean - p.mean)
     quad = float(delta @ delta)
     val = 0.5 * (trace + quad - p.dim + q.log_det_cov - p.log_det_cov)
-    assert val > -1e-8, "KL must be nonnegative up to rounding"
+    if not val > -TOL.divergence_rounding:
+        raise NegativeDivergenceInput(f"KL evaluated to {val!r}, below zero beyond rounding")
     return max(val, 0.0)
 
 

@@ -57,8 +57,8 @@ class ProductSpace:
         return ProductSpace(self.axis_sizes[:-1])
 
 
-def _readonly(arr):
-    arr = np.array(arr, dtype=float, copy=True).reshape(-1)
+def _readonly(arr, dtype=float):
+    arr = np.array(arr, dtype=dtype, copy=True).reshape(-1)
     arr.setflags(write=False)
     return arr
 
@@ -138,14 +138,13 @@ class ScaleMap:
     __slots__ = ("source", "target", "map")
 
     def __init__(self, source, target, mapping):
-        mapping = np.array(mapping, dtype=np.int64, copy=True).reshape(-1)
+        mapping = _readonly(mapping, np.int64)
         if mapping.shape != (source.size,):
             raise SpaceMismatch(
                 f"map has length {mapping.size}, source has {source.size} states"
             )
         if mapping.min(initial=0) < 0 or mapping.max(initial=0) >= target.size:
             raise ValueError("map entries must be valid target indices")
-        mapping.setflags(write=False)
         self.source = source
         self.target = target
         self.map = mapping
@@ -180,35 +179,42 @@ class ScaleMap:
 class ConditionalTable:
     """One distribution over ``output_space`` per state of ``given_space``.
 
-    Rows are stored sparsely as (indices, probabilities) pairs; rows for
-    conditioning states with zero mass are absent (``None``).
+    Stored densely along a map: output state i lies in row ``map[i]`` with
+    probability ``probs[i]``.  Undefined rows (``defined[j]`` False) are empty.
     """
 
-    __slots__ = ("given_space", "output_space", "rows")
+    __slots__ = ("given_space", "output_space", "map", "probs", "defined")
 
-    def __init__(self, given_space, output_space, rows):
-        if len(rows) != given_space.size:
+    def __init__(self, given_space, output_space, mapping, probs, defined):
+        mapping = _readonly(mapping, np.int64)
+        probs = _readonly(probs)
+        defined = _readonly(defined, bool)
+        if mapping.shape != (output_space.size,) or probs.shape != mapping.shape:
+            raise SpaceMismatch("one map entry and probability per output state required")
+        if defined.shape != (given_space.size,):
             raise SpaceMismatch("one row per conditioning state required")
-        checked = []
-        for row in rows:
-            if row is None:
-                checked.append(None)
-                continue
-            idx, pr = row
-            idx = np.asarray(idx, dtype=np.int64).reshape(-1)
-            pr = np.asarray(pr, dtype=float).reshape(-1)
-            if idx.shape != pr.shape:
-                raise ValueError("row indices and probabilities differ in length")
-            if idx.min(initial=0) < 0 or idx.max(initial=0) >= output_space.size:
-                raise ValueError("row indices out of range")
-            if pr.min(initial=0.0) < 0.0:
-                raise ValueError("row probabilities must be nonnegative")
-            if abs(pr.sum() - 1.0) > TOL.normalization:
-                raise ValueError("each defined row must sum to 1")
-            checked.append((idx, pr))
+        if mapping.min(initial=0) < 0 or mapping.max(initial=0) >= given_space.size:
+            raise ValueError("map entries out of range")
+        if not np.all((probs >= 0.0) & (defined[mapping] | (probs == 0.0))):
+            raise ValueError("row probabilities must be nonnegative, zero in undefined rows")
+        sums = np.bincount(mapping, weights=probs, minlength=given_space.size)
+        if not np.all(np.abs(sums[defined] - 1.0) <= TOL.normalization):
+            raise ValueError("each defined row must sum to 1")
         self.given_space = given_space
         self.output_space = output_space
-        self.rows = tuple(checked)
+        self.map = mapping
+        self.probs = probs
+        self.defined = defined
+
+    @property
+    def rows(self):
+        """Per given state, ``(output indices, probabilities)`` or ``None``; built per access."""
+        order = np.argsort(self.map, kind="stable")
+        cuts = np.searchsorted(self.map[order], np.arange(1, self.given_space.size))
+        return tuple(
+            (fiber, self.probs[fiber]) if ok else None
+            for fiber, ok in zip(np.split(order, cuts), self.defined)
+        )
 
 
 def _require_same_space(p, q):
@@ -271,6 +277,15 @@ def renyi_divergence(q, r, order):
     return math.log(total) / (order - 1.0)
 
 
+def _from_log_weights(space, logw, error):
+    """Distribution proportional to ``exp(logw)``; raises ``error`` if no weight is finite."""
+    peak = logw.max()
+    if not np.isfinite(peak):
+        raise error
+    w = np.exp(logw - peak)
+    return TabularDist(space, w / w.sum())
+
+
 def scale(p, theta):
     """Scaled (escort) distribution proportional to ``p ** theta``."""
     theta = float(theta)
@@ -278,10 +293,8 @@ def scale(p, theta):
         raise NonpositiveTheta(f"scaling exponent must be > 0, got {theta}")
     with np.errstate(divide="ignore"):
         logw = theta * np.log(p.probs)
-    peak = logw.max()
-    assert np.isfinite(peak), "valid distributions always have positive mass"
-    w = np.exp(logw - peak)
-    return TabularDist(p.space, w / w.sum())
+    empty = VanishingPartitionFunction("scaled weights carry no finite mass")
+    return _from_log_weights(p.space, logw, empty)
 
 
 def tilt(p, q, theta):
@@ -300,11 +313,8 @@ def tilt(p, q, theta):
         return q
     with np.errstate(divide="ignore"):
         logw = theta * np.log(p.probs) + (1.0 - theta) * np.log(q.probs)
-    peak = logw.max()
-    if not np.isfinite(peak):
-        raise EmptyGeometricMean("supports of p and q do not intersect")
-    w = np.exp(logw - peak)
-    return TabularDist(p.space, w / w.sum())
+    disjoint = EmptyGeometricMean("supports of p and q do not intersect")
+    return _from_log_weights(p.space, logw, disjoint)
 
 
 def gibbs(f, q, beta):
@@ -315,11 +325,8 @@ def gibbs(f, q, beta):
         raise ValueError(f"inverse temperature must be > 0, got {beta}")
     with np.errstate(divide="ignore"):
         logw = -beta * f.values + np.log(q.probs)
-    peak = logw.max()
-    if not np.isfinite(peak):
-        raise VanishingPartitionFunction("no state carries finite weight")
-    w = np.exp(logw - peak)
-    return TabularDist(q.space, w / w.sum())
+    empty = VanishingPartitionFunction("no state carries finite weight")
+    return _from_log_weights(q.space, logw, empty)
 
 
 def pushforward(p, t):
@@ -330,15 +337,6 @@ def pushforward(p, t):
     return TabularDist(t.target, out)
 
 
-def _fibers(t):
-    """Yield (target_index, source_indices) with source indices grouped per fiber."""
-    order = np.argsort(t.map, kind="stable")
-    sorted_targets = t.map[order]
-    boundaries = np.searchsorted(sorted_targets, np.arange(t.target.size + 1))
-    for j in range(t.target.size):
-        yield j, order[boundaries[j] : boundaries[j + 1]]
-
-
 def reverse_conditional(p, t):
     """Conditional of ``p`` given its image under ``t`` (Bayes inversion).
 
@@ -347,14 +345,10 @@ def reverse_conditional(p, t):
     """
     if t.source.axis_sizes != p.space.axis_sizes:
         raise SpaceMismatch("scale map source differs from the distribution's space")
-    rows = []
-    for _, fiber in _fibers(t):
-        mass = p.probs[fiber].sum()
-        if fiber.size == 0 or mass <= TOL.conditional_row_mass:
-            rows.append(None)
-        else:
-            rows.append((fiber, p.probs[fiber] / mass))
-    return ConditionalTable(t.target, t.source, rows)
+    mass = np.bincount(t.map, weights=p.probs, minlength=t.target.size)
+    defined = mass > TOL.conditional_row_mass
+    probs = np.divide(p.probs, mass[t.map], out=np.zeros(t.source.size), where=defined[t.map])
+    return ConditionalTable(t.target, t.source, t.map, probs, defined)
 
 
 def refine(coarsest, conditionals):
@@ -369,17 +363,13 @@ def refine(coarsest, conditionals):
     for cond in conditionals:
         if cond.given_space.axis_sizes != current.space.axis_sizes:
             raise SpaceMismatch("conditional does not match the current space")
-        out = np.zeros(cond.output_space.size)
-        for j in np.flatnonzero(current.probs > 0.0):
-            row = cond.rows[j]
-            if row is None:
-                raise UndefinedConditionalRow(
-                    f"conditioning state {j} has mass {current.probs[j]!r} "
-                    "but no defined row"
-                )
-            idx, pr = row
-            out[idx] += current.probs[j] * pr
-        current = TabularDist(cond.output_space, out)
+        undefined = (current.probs > 0.0) & ~cond.defined
+        if undefined.any():
+            j = int(np.argmax(undefined))
+            raise UndefinedConditionalRow(
+                f"conditioning state {j} has mass {current.probs[j]!r} but no defined row"
+            )
+        current = TabularDist(cond.output_space, current.probs[cond.map] * cond.probs)
     return current
 
 

@@ -18,6 +18,8 @@ class Tolerances:
     cholesky_pivot_floor: float = 1e-12
     # coarse outcomes with mass at or below zero have undefined conditionals
     conditional_row_mass: float = 0.0
+    # closed-form divergences may round this far below zero before clipping
+    divergence_rounding: float = 1e-8
     # boundary density relative to peak accepted by the quadrature oracle
     # (a 6-sigma Gaussian grid has boundary ratio exp(-18) ~ 1.5e-8)
     quadrature_boundary: float = 1e-7

@@ -95,6 +95,38 @@ def test_solve_tabular_no_verify(tmp_path):
     assert "oracle" not in report and "tv_to_oracle" not in report
 
 
+def above_cap_config(tmp_path):
+    rng = np.random.default_rng(3)
+    size = 2**13
+    cfg = {
+        "axis_sizes": [2] * 13,
+        "energy": rng.uniform(0.0, 1.0, size).tolist(),
+        "reference": np.full(size, 1.0 / size).tolist(),
+        "sigma": [1.0] + [0.5] * 12,
+        "algorithm": "min-rel-entropy",
+    }
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def test_solve_tabular_verify_above_oracle_cap(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    argv = ["solve-tabular", "--config", str(above_cap_config(tmp_path)), "--out", str(out)]
+    assert run(argv) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.strip().splitlines()) == 1
+    assert "4096" in err and "--no-verify" in err and "Traceback" not in err
+    assert not out.exists()
+
+    assert run(argv + ["--no-verify"]) == cli.EXIT_OK
+    report = json.loads(out.read_text())
+    probs = np.asarray(report["solution"]["probs"])
+    assert probs.size == 2**13 and probs.min() >= 0.0
+    assert abs(probs.sum() - 1.0) <= 1e-12
+    assert "tv_to_oracle" not in report
+
+
 def test_solve_gaussian(tmp_path):
     out = tmp_path / "out.json"
     code = run(

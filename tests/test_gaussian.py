@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,8 +11,10 @@ from msgibbs.errors import (
     DimensionMismatch,
     EmptyKeepSet,
     IndefinitePosterior,
+    NegativeDivergenceInput,
     NonpositiveTheta,
 )
+from msgibbs.tolerances import TOL
 
 
 def random_pd(dim, rng, scale=1.0):
@@ -216,6 +219,15 @@ def test_kl_gaussian():
         y = random_gaussian(2, rng)
         assert mg.kl_gaussian(x, y) > 0.0
         assert mg.kl_gaussian(x, x) == 0.0
+
+
+def test_kl_gaussian_negative_guard(monkeypatch):
+    # the rounding floor is a typed check that survives ``python -O``; a floor
+    # above zero makes the exact KL(p || p) = 0 trip it
+    p = random_gaussian(2, np.random.default_rng(8))
+    monkeypatch.setattr(mg, "TOL", dataclasses.replace(TOL, divergence_rounding=-1.0))
+    with pytest.raises(NegativeDivergenceInput):
+        mg.kl_gaussian(p, p)
 
 
 def test_sampling_moments():

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from msgibbs import multiscale as ms
+from msgibbs import oracle as mo
 from msgibbs import tabular as mt
 from msgibbs.errors import (
     AbsoluteContinuityViolation,
@@ -11,6 +13,7 @@ from msgibbs.errors import (
     NonpositiveTheta,
     SpaceMismatch,
     UndefinedConditionalRow,
+    VanishingPartitionFunction,
 )
 from msgibbs.multiscale import TemperatureSchedule
 
@@ -103,6 +106,9 @@ def test_scale():
         assert np.allclose(mt.scale(u, theta).probs, u.probs)
     with pytest.raises(NonpositiveTheta):
         mt.scale(p, 0.0)
+    # an infinite exponent drives every weight to zero: a typed error, not an assert
+    with pytest.raises(VanishingPartitionFunction):
+        mt.scale(u, math.inf)
 
 
 def test_tilt():
@@ -188,6 +194,91 @@ def test_reverse_conditional_and_refine():
     )
     with pytest.raises(UndefinedConditionalRow):
         mt.refine(mt.TabularDist(s2, [0.9, 0.1]), [cond_bad])
+
+
+def test_refine_empty_and_zero_mass_fibers():
+    # target 1 has an empty fiber (non-surjective map), target 2 a zero-mass one
+    s5 = mt.ProductSpace((5,))
+    s4 = mt.ProductSpace((4,))
+    t = mt.ScaleMap(s5, s4, [0, 0, 2, 3, 3])
+    p = mt.TabularDist(s5, [0.2, 0.3, 0.0, 0.1, 0.4])
+    cond = mt.reverse_conditional(p, t)
+    assert cond.defined.tolist() == [True, False, False, True]
+    assert cond.rows[1] is None and cond.rows[2] is None
+
+    # zero coarse mass on the undefined rows: refinement succeeds
+    coarse = mt.TabularDist(s4, [0.25, 0.0, 0.0, 0.75])
+    out = mt.refine(coarse, [cond])
+    assert np.allclose(out.probs, [0.1, 0.15, 0.0, 0.15, 0.6], atol=1e-15)
+
+    # positive mass on the first undefined state is named in the message
+    for probs, state in (([0.5, 0.1, 0.0, 0.4], 1), ([0.5, 0.0, 0.1, 0.4], 2),
+                         ([0.5, 0.1, 0.1, 0.3], 1)):
+        with pytest.raises(UndefinedConditionalRow, match=f"conditioning state {state} "):
+            mt.refine(mt.TabularDist(s4, probs), [cond])
+
+
+def test_conditional_table_validation():
+    s3 = mt.ProductSpace((3,))
+    s2 = mt.ProductSpace((2,))
+    mt.ConditionalTable(s2, s3, [0, 0, 1], [0.4, 0.6, 1.0], [True, True])
+    with pytest.raises(ValueError, match="nonnegative"):
+        mt.ConditionalTable(s2, s3, [0, 0, 1], [1.2, -0.2, 1.0], [True, True])
+    with pytest.raises(ValueError, match="out of range"):
+        mt.ConditionalTable(s2, s3, [0, 0, 2], [0.4, 0.6, 1.0], [True, True])
+    with pytest.raises(ValueError, match="out of range"):
+        mt.ConditionalTable(s2, s3, [0, -1, 1], [0.4, 0.6, 1.0], [True, True])
+    with pytest.raises(ValueError, match="sum to 1"):
+        mt.ConditionalTable(s2, s3, [0, 0, 1], [0.4, 0.5, 1.0], [True, True])
+    with pytest.raises(ValueError, match="zero in undefined rows"):
+        mt.ConditionalTable(s2, s3, [0, 0, 1], [0.4, 0.6, 1.0], [True, False])
+    with pytest.raises(SpaceMismatch):
+        mt.ConditionalTable(s2, s3, [0, 0], [0.4, 0.6], [True, True])
+    with pytest.raises(SpaceMismatch):
+        mt.ConditionalTable(s2, s3, [0, 0, 1], [0.4, 0.6, 1.0], [True])
+    # an undefined row may be empty, and its sum is not checked
+    mt.ConditionalTable(s2, s3, [0, 0, 0], [0.2, 0.3, 0.5], [True, False])
+
+
+def test_conditional_rows_match_fibers():
+    rng = np.random.default_rng(13)
+    source = mt.ProductSpace((40,))
+    target = mt.ProductSpace((12,))
+    t = mt.ScaleMap(source, target, rng.integers(0, 10, source.size))  # 10, 11 empty
+    probs = rng.uniform(0.0, 1.0, source.size)
+    probs[t.map == 3] = 0.0  # a zero-mass fiber
+    p = mt.TabularDist.from_weights(source, probs)
+    cond = mt.reverse_conditional(p, t)
+    assert len(cond.rows) == target.size
+    for j, row in enumerate(cond.rows):
+        fiber = np.flatnonzero(t.map == j)
+        mass = p.probs[fiber].sum()
+        if fiber.size == 0 or mass == 0.0:
+            assert row is None
+            continue
+        idx, pr = row
+        assert np.array_equal(idx, fiber)
+        assert np.allclose(pr, p.probs[fiber] / mass, rtol=1e-15, atol=0.0)
+    with pytest.raises(AttributeError):
+        cond.rows = ()
+
+
+def test_solver_matches_oracle_on_uneven_chain():
+    rng = np.random.default_rng(19)
+    sizes = (512, 60, 7)
+    spaces = [mt.ProductSpace((n,)) for n in sizes]
+    chain = []
+    for source, target in zip(spaces, spaces[1:]):
+        weights = rng.exponential(size=target.size) ** 2
+        extra = rng.choice(target.size, source.size - target.size, p=weights / weights.sum())
+        mapping = rng.permutation(np.concatenate([np.arange(target.size), extra]))
+        chain.append(mt.ScaleMap(source, target, mapping))
+    f = mt.EnergyTable(spaces[0], rng.uniform(0.0, 2.0, sizes[0]))
+    q = random_dist(spaces[0], rng)
+    sched = TemperatureSchedule(0.9, (1.0, 0.6, 0.3))
+    solver = ms.solve_min_relative_entropy(f, q, sched, ms.TabularBackend(chain))
+    oracle = mo.minimize_tabular("min-relative-entropy", f, q, sched, chain)
+    assert mt.total_variation(solver, oracle) < 1e-4
 
 
 def test_refine_roundtrip_three_level():
