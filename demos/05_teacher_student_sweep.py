@@ -15,11 +15,7 @@ cfg = mn.TeacherStudentConfig(
     m=10, d=4, teacher_depth=2, n_train=30,
     teacher_weight_variance=0.1, prior_variance=5e-5, seed=0,
 )
-rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,)))
-teacher, train, _ = mn.teacher_student_data(cfg, rng)
-energy = mn.gauss_newton_energy(mn.ResNetParams.zeros(cfg.m, cfg.d), train)
-prior = mn.iid_gaussian_prior(cfg)
-partition = mn.layer_partition(cfg.m, cfg.d)
+teacher, energy, prior, partition = mn.teacher_student_problem(cfg)
 
 alphas = [0.0, 0.2, 0.4, 0.6, 0.8, 0.999]
 sigma1s = np.logspace(-9.5, -2.5, 11)

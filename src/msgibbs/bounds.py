@@ -18,6 +18,7 @@ from .errors import (
     NonIntegerTeacherDepth,
 )
 from .gaussian import GaussianDist, kl_gaussian, marginalize
+from .tolerances import TOL
 
 __all__ = [
     "BoundConfig",
@@ -73,6 +74,22 @@ class DiracReference:
     @property
     def d(self):
         return len(self.log_inv_q)
+
+    @classmethod
+    def teacher_student(cls, d, M, log_inv_q2, log_inv_q1=0.0):
+        """Depth-d reference: ``log_inv_q1`` on the leading layers, ``log_inv_q2``
+        on the deepest d / M (the teacher's)."""
+        d_teacher = _teacher_depth(d, M)
+        return cls(tuple([log_inv_q1] * (d - d_teacher) + [log_inv_q2] * d_teacher))
+
+
+def _teacher_depth(d, M):
+    """The teacher depth d / M, which must be an integer in [1, d]."""
+    d_teacher = d / M
+    off_integer = abs(d_teacher - round(d_teacher))
+    if off_integer > TOL.teacher_depth_integrality or not 1 <= round(d_teacher) <= d:
+        raise NonIntegerTeacherDepth(f"d / M = {d_teacher!r} is not an integer in [1, {d}]")
+    return int(round(d_teacher))
 
 
 def divergence_per_scale(qhat, prior, partition):
@@ -160,10 +177,7 @@ def teacher_student_dpg_sum(d, M, log_inv_q2):
     """
     if log_inv_q2 < 0.0:
         raise NegativeDivergenceInput("log(1/q2) must be >= 0")
-    d_teacher = d / M
-    if abs(d_teacher - round(d_teacher)) > 1e-9 or round(d_teacher) < 1:
-        raise NonIntegerTeacherDepth(f"d / M = {d_teacher!r} is not a positive integer")
-    d_teacher = int(round(d_teacher))
+    d_teacher = _teacher_depth(d, M)
     root = math.sqrt(log_inv_q2)
     partial = sum(math.sqrt(j) for j in range(1, d_teacher + 1))
     exact = root * (d * math.sqrt(d_teacher) - partial)

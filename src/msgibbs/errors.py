@@ -62,7 +62,7 @@ class NegativeDivergenceInput(MsgibbsError):
 
 
 class NonIntegerTeacherDepth(MsgibbsError):
-    """d / M must be a positive integer."""
+    """d / M must be an integer in [1, d]."""
 
 
 class SpectralNormViolated(MsgibbsError):

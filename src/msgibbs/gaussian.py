@@ -21,12 +21,12 @@ from .errors import (
 from .tolerances import TOL
 
 
-def _symmetrize(mat, what="matrix"):
+def _symmetrize(mat, what="matrix", tol=TOL.symmetry):
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch(f"{what} must be square, got shape {mat.shape}")
     gap = float(np.abs(mat - mat.T).max(initial=0.0))
-    if gap > TOL.symmetry * max(1.0, float(np.abs(mat).max(initial=0.0))):
+    if gap > tol * max(1.0, float(np.abs(mat).max(initial=0.0))):
         raise ValueError(f"{what} is asymmetric beyond tolerance (gap {gap!r})")
     return 0.5 * (mat + mat.T)
 
@@ -186,17 +186,13 @@ class QuadraticEnergy:
     c: float = 0.0
 
     def __post_init__(self):
-        K = np.asarray(self.K, dtype=float)
-        gap = float(np.abs(K - K.T).max(initial=0.0))
-        if gap > 1e-8 * max(1.0, float(np.abs(K).max(initial=0.0))):
-            raise ValueError(f"K is asymmetric beyond tolerance (gap {gap!r})")
-        K = 0.5 * (K + K.T)
+        K = _symmetrize(self.K, "K", TOL.energy_symmetry)
         g = np.asarray(self.g, dtype=float).reshape(-1)
         if K.shape != (g.size, g.size):
             raise DimensionMismatch("K and g dimensions are inconsistent")
         eigmin = float(np.linalg.eigvalsh(K).min())
-        if eigmin < -1e-8:
-            raise ValueError(f"K has eigenvalue {eigmin!r} below the -1e-8 floor")
+        if eigmin < -TOL.energy_eigenvalue_floor:
+            raise ValueError(f"K has eigenvalue {eigmin!r} below -{TOL.energy_eigenvalue_floor}")
         if eigmin < 0.0:
             vals, vecs = np.linalg.eigh(K)
             K = (vecs * np.clip(vals, 0.0, None)) @ vecs.T

@@ -31,6 +31,9 @@ __all__ = [
     "solve_mt",
     "max_entropy_objective",
     "min_relative_entropy_objective",
+    "gaussian_max_entropy_objective",
+    "gaussian_min_relative_entropy_objective",
+    "gaussian_refinement_gap",
 ]
 
 
@@ -97,16 +100,26 @@ def alpha_schedule(alpha, sigma1, d):
     return TemperatureSchedule(1.0, tuple(sigma))
 
 
+def _drops_last_axis(t):
+    """Whether scale map ``t`` is the decimation of its source space."""
+    sizes = t.source.axis_sizes
+    return (
+        len(sizes) > 1
+        and t.target.axis_sizes == sizes[:-1]
+        and np.array_equal(t.map, np.arange(t.source.size) // sizes[-1])
+    )
+
+
 class TabularBackend:
     """Tabular distributions coarse-grained along an explicit scale-map chain."""
 
-    def __init__(self, chain, is_decimation=False):
+    def __init__(self, chain):
         chain = list(chain)
         for left, right in zip(chain, chain[1:]):
             if left.target.axis_sizes != right.source.axis_sizes:
                 raise SpaceMismatch("scale maps do not chain")
         self.chain = chain
-        self.is_decimation = is_decimation
+        self.is_decimation = all(map(_drops_last_axis, chain))
 
     @classmethod
     def decimation(cls, space, depth):
@@ -121,7 +134,7 @@ class TabularBackend:
             step = mt.ScaleMap.decimation(current)
             chain.append(step)
             current = step.target
-        return cls(chain, is_decimation=True)
+        return cls(chain)
 
     @property
     def depth(self):
@@ -310,3 +323,41 @@ def min_relative_entropy_objective(p, f, q, sched, chain):
     """E[f] plus lam * multiscale relative entropy to q (to be minimized)."""
     expected = float(p.probs @ f.values)
     return expected + sched.lam * mt.multiscale_relative_entropy(p, q, sched, chain)
+
+
+def _gaussian_scales(p, sched, partition):
+    """(sigma_i, p at scale i) for the scales with sigma_i > 0, finest first;
+    scale i is the marginal on the leading d-i+1 blocks (decimation)."""
+    d = sched.depth
+    GaussianBackend(partition).check_depth(d)
+    return [(s, mg.marginalize(p, partition, d - i)) for i, s in enumerate(sched.sigma) if s > 0.0]
+
+
+def gaussian_max_entropy_objective(p, f, sched, partition):
+    """Gaussian multiscale differential entropy minus lam * E[f] (to be maximized)."""
+    (sigma_1, p_1), *coarser = _gaussian_scales(p, sched, partition)
+    value = sigma_1 * mg.differential_entropy(p_1) - sched.lam * mg.expected_quadratic(p, f)
+    for sigma_i, p_i in coarser:
+        value += sigma_i * mg.differential_entropy(p_i)
+    return value
+
+
+def gaussian_min_relative_entropy_objective(p, f, q, sched, partition):
+    """E[f] plus lam * Gaussian multiscale relative entropy to q (to be minimized)."""
+    value = mg.expected_quadratic(p, f)
+    scales = zip(_gaussian_scales(p, sched, partition), _gaussian_scales(q, sched, partition))
+    for (sigma_i, p_i), (_, q_i) in scales:
+        value += sched.lam * sigma_i * mg.kl_gaussian(p_i, q_i)
+    return value
+
+
+def gaussian_refinement_gap(p, trace, partition):
+    """Largest relative precision gap between p's coarse marginals and the
+    refined intermediates of ``trace`` (0.0 for a single-scale solve)."""
+    d = partition.n_blocks
+    worst = 0.0
+    for i in range(2, d + 1):
+        ref = trace.refined[i - 1].precision
+        marg = mg.marginalize(p, partition, d - i + 1).precision
+        worst = max(worst, float(np.abs(marg - ref).max() / max(1.0, np.abs(ref).max())))
+    return worst

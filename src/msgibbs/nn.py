@@ -21,6 +21,7 @@ from .gaussian import (
     sample,
 )
 from .multiscale import GaussianBackend, alpha_schedule, solve_mt
+from .tolerances import TOL
 
 __all__ = [
     "NetShape",
@@ -36,6 +37,7 @@ __all__ = [
     "gauss_newton_energy",
     "multiscale_posterior",
     "teacher_student_data",
+    "teacher_student_problem",
     "population_risk_mc",
     "layer_partition",
     "iid_gaussian_prior",
@@ -204,7 +206,7 @@ def residual_increment_check(params, x):
     """
     d = params.d
     norms = params.spectral_norms()
-    if np.any(norms > 1.0 / d + 1e-12):
+    if np.any(norms > 1.0 / d + TOL.spectral_norm_slack):
         raise SpectralNormViolated(
             f"layer spectral norms {norms} exceed the 1/d = {1.0 / d} budget"
         )
@@ -319,6 +321,17 @@ def teacher_student_data(cfg, rng):
         return Dataset(txs, forward_batch(teacher, txs))
 
     return teacher, train, make_test
+
+
+def teacher_student_problem(cfg):
+    """Teacher, Gauss-Newton energy at zero weights, prior and layer partition.
+
+    Teacher and training set are drawn from ``SeedSequence(cfg.seed, spawn_key=(0,))``.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,)))
+    teacher, train, _ = teacher_student_data(cfg, rng)
+    energy = gauss_newton_energy(ResNetParams.zeros(cfg.m, cfg.d), train)
+    return teacher, energy, iid_gaussian_prior(cfg), layer_partition(cfg.m, cfg.d)
 
 
 def population_risk_mc(posterior, teacher, cfg, n_test, n_weights, seed):

@@ -104,7 +104,7 @@ def minimize_tabular(objective, f, q, sched, chain, settings=None):
             if sigma[i] == 0.0:
                 continue
             marg = np.bincount(comps[i], weights=p, minlength=sizes[i])
-            log_marg = np.log(np.maximum(marg, 1e-300))
+            log_marg = np.log(np.maximum(marg, TOL.oracle_log_floor))
             if use_reference:
                 log_ratio = log_marg - log_q_scales[i]
                 value += lam * sigma[i] * float(marg @ log_ratio)
@@ -117,15 +117,18 @@ def minimize_tabular(objective, f, q, sched, chain, settings=None):
     log_p = np.full(space.size, -math.log(space.size))
     step = settings.step_size
     prev_value, grad = objective_and_grad(log_p)
-    for _ in range(settings.max_iterations):
+    for iteration in range(settings.max_iterations):
         proposal = log_p - step * grad
         proposal -= _logsumexp(proposal)
         value, new_grad = objective_and_grad(proposal)
-        if value > prev_value + 1e-15:
+        if value > prev_value + TOL.oracle_ascent_slack:
             # deterministic safeguard: shrink the step and retry from log_p
             step *= 0.5
-            if step < 1e-8:
-                break
+            if step < TOL.oracle_step_floor:
+                raise NonConvergence(
+                    f"simplex oracle step size collapsed below {TOL.oracle_step_floor:g} "
+                    f"at iteration {iteration}"
+                )
             continue
         converged = prev_value - value < settings.convergence_tol
         log_p, grad, prev_value = proposal, new_grad, value

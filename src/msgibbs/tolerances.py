@@ -23,6 +23,23 @@ class Tolerances:
     # boundary density relative to peak accepted by the quadrature oracle
     # (a 6-sigma Gaussian grid has boundary ratio exp(-18) ~ 1.5e-8)
     quadrature_boundary: float = 1e-7
+    # QuadraticEnergy: the symmetry tolerance for K, and the eigenvalues of K
+    # down to minus the floor are clipped to zero
+    energy_symmetry: float = 1e-8
+    energy_eigenvalue_floor: float = 1e-8
+    # simplex oracle: an objective rise up to the slack is not an ascent; marginals
+    # are floored before logs; halving the step below its floor is a collapse
+    oracle_ascent_slack: float = 1e-15
+    oracle_log_floor: float = 1e-300
+    oracle_step_floor: float = 1e-8
+    # layer spectral norms may exceed the 1/d budget by this
+    spectral_norm_slack: float = 1e-12
+    # d / M may miss an integer by this
+    teacher_depth_integrality: float = 1e-9
+    # verification gates: total variation to the simplex oracle (solve-tabular)
+    # and relative refinement-consistency gap (solve-gaussian)
+    oracle_agreement_tv: float = 1e-4
+    refinement_consistency: float = 1e-8
 
 
 TOL = Tolerances()

@@ -332,11 +332,7 @@ def _min_over_sigma1(prior_variance):
         prior_variance=prior_variance,
         seed=0,
     )
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,)))
-    teacher, train, _ = mn.teacher_student_data(cfg, rng)
-    energy = mn.gauss_newton_energy(mn.ResNetParams.zeros(cfg.m, cfg.d), train)
-    prior = mn.iid_gaussian_prior(cfg)
-    part = mn.layer_partition(cfg.m, cfg.d)
+    teacher, energy, prior, part = mn.teacher_student_problem(cfg)
     alphas = [0.0, 0.2, 0.4, 0.5, 0.6, 0.8, 0.999]
     sigma1s = np.logspace(-9.5, -2.5, 15)
     curve = {}

@@ -193,3 +193,15 @@ def test_bound_report():
     assert rep["per_scale"][0]["dpg"] == 0.0
     assert rep["difference"] == pytest.approx(rep["scaled_dpg_sum"], abs=1e-12)
     assert rep["excess_risk_multiscale"] <= rep["excess_risk_single"] + 1e-12
+
+
+def test_dirac_reference_teacher_student():
+    ref = mb.DiracReference.teacher_student(6, 3.0, 1.3, 0.2)
+    assert ref.log_inv_q == (0.2, 0.2, 0.2, 0.2, 1.3, 1.3)
+    assert mb.DiracReference.teacher_student(4, 2.0, 0.9).log_inv_q == (0.0, 0.0, 0.9, 0.9)
+    # one depth check serves the reference and the closed form
+    for m_ratio in (3.0, 8.0, 1e10, 0.5):
+        with pytest.raises(NonIntegerTeacherDepth):
+            mb.DiracReference.teacher_student(4, m_ratio, 1.0)
+        with pytest.raises(NonIntegerTeacherDepth):
+            mb.teacher_student_dpg_sum(4, m_ratio, 1.0)

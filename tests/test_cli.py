@@ -255,3 +255,49 @@ def test_bounds_d1_single_equals_multiscale(tmp_path):
 def test_missing_config_file(capsys):
     assert run(["bounds", "--config", "/nonexistent/x.json"]) == cli.EXIT_ERROR
     assert "cannot read config" in capsys.readouterr().err
+
+
+def assert_one_config_error_line(err):
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ")
+    assert lines[0].count("config error") == 1
+
+
+@pytest.mark.parametrize(
+    "command, config_name, change",
+    [
+        ("solve-tabular", "solve_tabular_binary3.json", {"algorithm": "bogus"}),
+        (
+            "bounds",
+            "bounds_teacher_student.json",
+            {"d": 4, "teacher_student": {"M": 3.0, "log_inv_q2": 1.0}},
+        ),
+        ("experiment", "experiment_smoke.json", {"teacher_depth": 9}),
+    ],
+)
+def test_config_errors_print_one_prefixed_line(tmp_path, capsys, command, config_name, change):
+    cfg = json.loads((CONFIGS / config_name).read_text())
+    cfg.update(change)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run([command, "--config", str(path)]) == cli.EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_config_error_line(captured.err)
+
+
+def test_solve_tabular_mt_with_explicit_decimation_chain(tmp_path):
+    cfg = json.loads((CONFIGS / "solve_tabular_binary3.json").read_text())
+    cfg["algorithm"] = "mt"
+    reports = []
+    for chain in ("decimation", [{"source_axis_sizes": [2, 2, 2], "target_axis_sizes": [2, 2],
+                                  "map": [0, 0, 1, 1, 2, 2, 3, 3]}]):
+        cfg["chain"] = chain
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out.json"
+        assert run(["solve-tabular", "--config", str(path), "--out", str(out)]) == cli.EXIT_OK
+        reports.append(json.loads(out.read_text()))
+    assert reports[0]["solution"] == reports[1]["solution"]
+    assert reports[0]["objective"] == reports[1]["objective"]
+    assert reports[1]["verified"] is True

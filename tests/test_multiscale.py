@@ -274,3 +274,70 @@ def test_depth_mismatch_raises():
     f = mt.EnergyTable(space, np.zeros(4))
     with pytest.raises(SpaceMismatch):
         ms.solve_max_entropy(f, ms.TemperatureSchedule(1.0, (1.0, 1.0, 1.0)), backend)
+
+
+def test_is_decimation_derived_from_chain():
+    rng = np.random.default_rng(11)
+    space = mt.ProductSpace((2, 3, 2))
+    f = mt.EnergyTable(space, rng.uniform(-1.0, 1.0, space.size))
+    q = random_dist(space, rng)
+    sched = ms.TemperatureSchedule(1.0, (1.0, 0.5, 0.7))
+    gibbs = mt.gibbs(f, q, 1.0)
+    built = ms.TabularBackend.decimation(space, 3)
+    # the same maps given explicitly (as a JSON config gives them) are decimation too
+    explicit = ms.TabularBackend([mt.ScaleMap.from_json(t.to_json()) for t in built.chain])
+    assert built.is_decimation and explicit.is_decimation
+    assert ms.TabularBackend([]).is_decimation
+    expected = ms.solve_mt(gibbs, q, sched, built)
+    assert np.array_equal(ms.solve_mt(gibbs, q, sched, explicit).probs, expected.probs)
+    # right target spaces but a permuted map, and a single-axis chain, are not
+    first = built.chain[0]
+    permuted = mt.ScaleMap(first.source, first.target, first.map[::-1])
+    line = mt.ProductSpace((12,))
+    halving = mt.ScaleMap(line, mt.ProductSpace((6,)), np.arange(12) // 2)
+    for chain in ([permuted, built.chain[1]], [halving]):
+        backend = ms.TabularBackend(chain)
+        assert not backend.is_decimation
+        with pytest.raises(SpaceMismatch):
+            ms.solve_mt(gibbs, q, sched, backend)
+
+
+def test_gaussian_objectives():
+    rng = np.random.default_rng(12)
+    part = mg.BlockPartition((1, 2, 1))
+    dim = part.total_dim
+    backend = ms.GaussianBackend(part)
+    energy = mg.QuadraticEnergy(random_pd(dim, rng), rng.standard_normal(dim), 0.3)
+    prior = mg.GaussianDist(rng.standard_normal(dim), random_pd(dim, rng, 0.2))
+    p = mg.GaussianDist(rng.standard_normal(dim), random_pd(dim, rng, 0.1))
+    # single-scale schedules reduce to entropy / divergence of the joint
+    single = ms.TemperatureSchedule(1.5, (0.8, 0.0, 0.0))
+    expected = mg.expected_quadratic(p, energy)
+    assert ms.gaussian_max_entropy_objective(p, energy, single, part) == pytest.approx(
+        0.8 * mg.differential_entropy(p) - 1.5 * expected, abs=1e-12
+    )
+    assert ms.gaussian_min_relative_entropy_objective(
+        p, energy, prior, single, part
+    ) == pytest.approx(expected + 1.5 * 0.8 * mg.kl_gaussian(p, prior), abs=1e-12)
+    # the solvers' outputs are optima: nearby Gaussians do no better
+    sched = ms.TemperatureSchedule(1.2, (1.0, 0.6, 0.4))
+    star_max = ms.solve_max_entropy(energy, sched, backend)
+    star_min, trace = ms.solve_min_relative_entropy(
+        energy, prior, sched, backend, with_trace=True
+    )
+    best_max = ms.gaussian_max_entropy_objective(star_max, energy, sched, part)
+    best_min = ms.gaussian_min_relative_entropy_objective(star_min, energy, prior, sched, part)
+    for _ in range(50):
+        eps = rng.uniform(0.0, 0.1)
+        shift = eps * rng.standard_normal(dim)
+        spread = eps * random_pd(dim, rng, 0.01)
+        p_max = mg.GaussianDist(star_max.mean + shift, star_max.cov + spread)
+        p_min = mg.GaussianDist(star_min.mean + shift, star_min.cov + spread)
+        assert ms.gaussian_max_entropy_objective(p_max, energy, sched, part) <= best_max + 1e-10
+        assert (
+            ms.gaussian_min_relative_entropy_objective(p_min, energy, prior, sched, part)
+            >= best_min - 1e-10
+        )
+    assert ms.gaussian_refinement_gap(star_min, trace, part) <= 1e-8
+    with pytest.raises(SpaceMismatch):
+        ms.gaussian_max_entropy_objective(p, energy, ms.TemperatureSchedule(1.0, (1.0,)), part)

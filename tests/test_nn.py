@@ -206,6 +206,19 @@ def test_teacher_student_data():
     assert np.abs(train_tiny.ys - train_tiny.xs).max() < 1e-6
 
 
+def test_teacher_student_problem():
+    cfg = mn.TeacherStudentConfig(m=3, d=4, teacher_depth=2, n_train=8, seed=5)
+    teacher, energy, prior, part = mn.teacher_student_problem(cfg)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=5, spawn_key=(0,)))
+    teacher_ref, train, _ = mn.teacher_student_data(cfg, rng)
+    energy_ref = mn.gauss_newton_energy(mn.ResNetParams.zeros(3, 4), train)
+    assert np.array_equal(teacher.flat(), teacher_ref.flat())
+    assert np.array_equal(energy.K, energy_ref.K) and np.array_equal(energy.g, energy_ref.g)
+    assert energy.c == energy_ref.c
+    assert part.block_sizes == (9, 9, 9, 9)
+    assert np.array_equal(prior.cov, cfg.prior_variance * np.eye(36))
+
+
 def test_multiscale_posterior_reductions():
     rng = np.random.default_rng(10)
     cfg = mn.TeacherStudentConfig(m=3, d=3, teacher_depth=1, n_train=10,

@@ -152,3 +152,16 @@ def test_gaussian_grid_bounds():
     lo, hi = mo.gaussian_grid_bounds(g)
     assert np.allclose(lo, [1.0 - 12.0, -1.0 - 3.0])
     assert np.allclose(hi, [1.0 + 12.0, -1.0 + 3.0])
+
+
+def test_step_size_collapse_is_reported():
+    # energies of order 1e7 make every step an ascent until the step collapses
+    space = mt.ProductSpace((4, 4))
+    rng = np.random.default_rng(1)
+    f = mt.EnergyTable(space, 1e7 * rng.standard_normal(space.size))
+    sched = ms.TemperatureSchedule(1e7, (1.0, 0.5))
+    chain = [mt.ScaleMap.decimation(space)]
+    with pytest.raises(NonConvergence, match=r"step size collapsed .* at iteration \d+"):
+        mo.minimize_tabular(
+            "min-relative-entropy", f, mt.TabularDist.uniform(space), sched, chain
+        )
