@@ -17,7 +17,7 @@ from .errors import (
     NegativeDivergenceInput,
     NonIntegerTeacherDepth,
 )
-from .gaussian import GaussianDist, kl_gaussian, marginalize
+from .gaussian import GaussianDist, kl_gaussian, scale_marginals
 from .tolerances import TOL
 
 __all__ = [
@@ -95,8 +95,9 @@ def _teacher_depth(d, M):
 def divergence_per_scale(qhat, prior, partition):
     """D(qhat at scale i || prior at scale i) for i = 1..d.
 
-    Scale i keeps the leading d-i+1 blocks (decimation).  For a Dirac
-    reference the divergence is the sum of the kept layers' log(1/q_k).
+    Scale i keeps the leading d-i+1 blocks (decimation; see
+    :func:`gaussian.scale_marginals`).  For a Dirac reference the divergence
+    is the sum of the kept layers' log(1/q_k).
     """
     if isinstance(qhat, DiracReference):
         d = qhat.d
@@ -106,14 +107,8 @@ def divergence_per_scale(qhat, prior, partition):
         return np.array([vals[: d - i + 1].sum() for i in range(1, d + 1)])
     if not isinstance(qhat, GaussianDist):
         raise TypeError(f"unsupported reference posterior {type(qhat)!r}")
-    d = partition.n_blocks
-    out = np.empty(d)
-    for i in range(1, d + 1):
-        keep = d - i + 1
-        out[i - 1] = kl_gaussian(
-            marginalize(qhat, partition, keep), marginalize(prior, partition, keep)
-        )
-    return out
+    scales = zip(scale_marginals(qhat, partition), scale_marginals(prior, partition))
+    return np.array([kl_gaussian(q_i, p_i) for q_i, p_i in scales])
 
 
 def dpg(qhat, prior, partition, i):
@@ -133,18 +128,24 @@ def gamma_star(div):
     return 1.0 / (2.0 * math.sqrt(div))
 
 
+def _single_gap(divs, cfg):
+    return cfg.C / math.sqrt(cfg.n) * math.sqrt(divs[0])
+
+
+def _multiscale_gap(divs, cfg):
+    if divs.size != cfg.d:
+        raise DimensionMismatch("config depth and reference depth disagree")
+    return generalization_bound_value(divs, cfg)
+
+
 def excess_risk_single(qhat, prior, cfg, partition=None):
     """Optimized single-scale excess bound gap (C / sqrt(n)) sqrt(D(qhat || prior))."""
-    divs = divergence_per_scale(qhat, prior, partition)
-    return cfg.C / math.sqrt(cfg.n) * math.sqrt(divs[0])
+    return _single_gap(divergence_per_scale(qhat, prior, partition), cfg)
 
 
 def excess_risk_multiscale(qhat, prior, cfg, partition=None):
     """Optimized multiscale excess bound gap (C / (d sqrt(n))) sum_i sqrt(D_i)."""
-    divs = divergence_per_scale(qhat, prior, partition)
-    if divs.size != cfg.d:
-        raise DimensionMismatch("config depth and reference depth disagree")
-    return cfg.C / (cfg.d * math.sqrt(cfg.n)) * float(np.sqrt(divs).sum())
+    return _multiscale_gap(divergence_per_scale(qhat, prior, partition), cfg)
 
 
 def generalization_bound_value(mi_terms, cfg):
@@ -188,11 +189,10 @@ def teacher_student_dpg_sum(d, M, log_inv_q2):
 def bound_report(qhat, prior, cfg, partition=None):
     """Per-scale divergences, optimal gammas, DPGs, and bound totals as a dict."""
     divs = divergence_per_scale(qhat, prior, partition)
-    single = excess_risk_single(qhat, prior, cfg, partition)
-    multi = excess_risk_multiscale(qhat, prior, cfg, partition)
-    scaled_dpg = cfg.C / (cfg.d * math.sqrt(cfg.n)) * sum(
-        math.sqrt(divs[0]) - math.sqrt(dv) for dv in divs
-    )
+    single = _single_gap(divs, cfg)
+    multi = _multiscale_gap(divs, cfg)
+    dpgs = [math.sqrt(divs[0]) - math.sqrt(dv) for dv in divs]
+    scaled_dpg = cfg.C / (cfg.d * math.sqrt(cfg.n)) * sum(dpgs)
     return {
         "C": cfg.C,
         "C_note": "C = 2(eR)^2 taken verbatim; sub-Gaussian constant convention",
@@ -205,7 +205,7 @@ def bound_report(qhat, prior, cfg, partition=None):
                 "kept_blocks": cfg.d - i,
                 "divergence": float(divs[i]),
                 "gamma_star": gamma_star(float(divs[i])),
-                "dpg": float(math.sqrt(divs[0]) - math.sqrt(divs[i])),
+                "dpg": dpgs[i],
             }
             for i in range(divs.size)
         ],

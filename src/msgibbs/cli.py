@@ -130,6 +130,9 @@ def cmd_solve_tabular(args):
             backend = ms.TabularBackend.decimation(space, sched.depth)
         else:
             backend = ms.TabularBackend([mt.ScaleMap.from_json(c) for c in chain_cfg])
+        backend.check_depth(sched.depth)
+        if algorithm == "mt" and not backend.is_decimation:
+            raise ConfigError("$.chain: marginalize-tilt ('mt') needs a decimation chain")
         reference = None
         if algorithm in ("min-rel-entropy", "mt"):
             reference = mt.TabularDist(space, _require(cfg, "reference"))
@@ -139,11 +142,8 @@ def cmd_solve_tabular(args):
         objective = ms.max_entropy_objective(solution, energy, sched, backend.chain)
         oracle_kind = "max-entropy"
     else:
-        if algorithm == "mt":
-            gibbs = mt.gibbs(energy, reference, 1.0 / (sched.lam * sched.sigma[0]))
-            solution = ms.solve_mt(gibbs, reference, sched, backend)
-        else:
-            solution = ms.solve_min_relative_entropy(energy, reference, sched, backend)
+        # on a decimation chain, 'mt' (solve_mt) and min-rel-entropy are the same solve
+        solution = ms.solve_min_relative_entropy(energy, reference, sched, backend)
         objective = ms.min_relative_entropy_objective(
             solution, energy, reference, sched, backend.chain
         )
@@ -165,8 +165,10 @@ def cmd_solve_gaussian(args):
         prior_cfg = _require(cfg, "prior")
         partition = mg.BlockPartition(tuple(_require(prior_cfg, "block_sizes", "$.prior")))
         prior = mg.GaussianDist.from_json(prior_cfg)
-        energy_cfg = _require(cfg, "energy")
         dim = prior.dim
+        if partition.total_dim != dim:
+            raise ConfigError(f"$.prior.block_sizes: cover {partition.total_dim} of {dim} dims")
+        energy_cfg = _require(cfg, "energy")
         energy = mg.QuadraticEnergy(
             np.reshape(_require(energy_cfg, "K", "$.energy"), (dim, dim)),
             energy_cfg.get("g", np.zeros(dim)),
@@ -177,6 +179,7 @@ def cmd_solve_gaussian(args):
             raise ConfigError(f"$.algorithm: unknown {algorithm!r}")
         sched = _schedule_from(cfg)
         backend = ms.GaussianBackend(partition)
+        backend.check_depth(sched.depth)
 
     if algorithm == "max-entropy":
         solution, trace = ms.solve_max_entropy(energy, sched, backend, with_trace=True)
@@ -198,13 +201,13 @@ def cmd_solve_gaussian(args):
 
 
 _EXPERIMENT_DEFAULTS = {
-    "seed": 0,
+    # teacher_weight_variance, prior_variance and seed: the dataclass's own defaults
+    **{f.name: f.default for f in dataclasses.fields(mn.TeacherStudentConfig)
+       if f.default is not dataclasses.MISSING},
     "m": 10,
     "d": 4,
     "teacher_depth": 2,
     "n_train": 30,
-    "teacher_weight_variance": 0.1,
-    "prior_variance": 5e-5,
     "n_test": 2000,
     "n_weights": 200,
     "alpha_grid": tuple(round(0.05 * k, 2) for k in range(20)) + (0.999,),

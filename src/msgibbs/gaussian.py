@@ -216,24 +216,36 @@ class QuadraticEnergy:
         return self.g + self.K @ w
 
 
+def _require_cover(partition, g):
+    if partition.total_dim != g.dim:
+        raise DimensionMismatch(
+            f"partition covers {partition.total_dim} dims, distribution has {g.dim}"
+        )
+
+
 def marginalize(g, partition, keep_blocks):
     """Marginal over the first ``keep_blocks`` blocks of the partition."""
     if keep_blocks < 1:
         raise EmptyKeepSet("must keep at least one block")
-    if partition.total_dim != g.dim:
-        raise DimensionMismatch(
-            f"partition covers {partition.total_dim} dims, distribution has {g.dim}"
-        )
+    _require_cover(partition, g)
     k = partition.leading_dim(keep_blocks)
     return GaussianDist(g.mean[:k], g.cov[:k, :k])
 
 
+def scale_marginals(g, partition):
+    """``g`` at every scale of the decimation chain of ``partition``, finest first.
+
+    Scale i of d is the marginal on the leading d-i+1 blocks; scale 1 is
+    ``g`` itself.  Raises :class:`DimensionMismatch` unless the partition
+    covers ``g``.
+    """
+    _require_cover(partition, g)
+    return [g] + [marginalize(g, partition, keep) for keep in range(partition.n_blocks - 1, 0, -1)]
+
+
 def condition(g, partition, given_blocks):
     """Conditional of the trailing blocks given the leading ``given_blocks`` blocks."""
-    if partition.total_dim != g.dim:
-        raise DimensionMismatch(
-            f"partition covers {partition.total_dim} dims, distribution has {g.dim}"
-        )
+    _require_cover(partition, g)
     if not 1 <= given_blocks < partition.n_blocks:
         raise EmptyKeepSet("both sides of the split must be nonempty")
     k = partition.leading_dim(given_blocks)

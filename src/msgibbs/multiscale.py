@@ -128,13 +128,9 @@ class TabularBackend:
             raise SpaceMismatch(
                 f"decimation depth must be in [1, {space.ndim}], got {depth}"
             )
-        chain = []
-        current = space
-        for _ in range(depth - 1):
-            step = mt.ScaleMap.decimation(current)
-            chain.append(step)
-            current = step.target
-        return cls(chain)
+        # step k maps the leading ndim - k axes onto the leading ndim - k - 1
+        sources = [mt.ProductSpace(space.axis_sizes[: space.ndim - k]) for k in range(depth - 1)]
+        return cls([mt.ScaleMap.decimation(source) for source in sources])
 
     @property
     def depth(self):
@@ -153,10 +149,7 @@ class TabularBackend:
         return mt.gibbs(f, q, beta)
 
     def reference_marginals(self, q):
-        refs = [q]
-        for t in self.chain:
-            refs.append(mt.pushforward(refs[-1], t))
-        return refs
+        return mt.scale_marginals(q, self.chain)
 
     def coarse_grain(self, dist, step):
         return mt.pushforward(dist, self.chain[step])
@@ -173,13 +166,15 @@ class TabularBackend:
 
 
 class GaussianBackend:
-    """Gaussian distributions under decimation of a block partition."""
+    """Gaussian distributions under decimation of a block partition.
+
+    Scale i keeps the leading d-i+1 blocks (see :func:`gaussian.scale_marginals`).
+    """
 
     is_decimation = True
 
     def __init__(self, partition):
         self.partition = partition
-        self._dims = [partition.leading_dim(k) for k in range(1, partition.n_blocks + 1)]
 
     @property
     def depth(self):
@@ -191,14 +186,6 @@ class GaussianBackend:
                 f"schedule depth {depth} does not match partition with "
                 f"{self.depth} blocks"
             )
-
-    def _blocks_of(self, dist):
-        try:
-            return self._dims.index(dist.dim) + 1
-        except ValueError:
-            raise SpaceMismatch(
-                f"distribution dim {dist.dim} is not a leading-block dim"
-            ) from None
 
     def initial_max_entropy(self, f, beta):
         # density proportional to exp(-beta f); requires strictly PD K
@@ -214,13 +201,11 @@ class GaussianBackend:
         return mg.gibbs_gaussian(f, q, beta)
 
     def reference_marginals(self, q):
-        return [
-            mg.marginalize(q, self.partition, self.depth - i)
-            for i in range(self.depth)
-        ]
+        return mg.scale_marginals(q, self.partition)
 
     def coarse_grain(self, dist, step):
-        k = self._blocks_of(dist)
+        # dist is at scale step + 1, on the leading depth - step blocks
+        k = self.depth - step
         return mg.marginalize(dist, self.partition.prefix(k), k - 1)
 
     def scale(self, dist, theta):
@@ -327,10 +312,9 @@ def min_relative_entropy_objective(p, f, q, sched, chain):
 
 def _gaussian_scales(p, sched, partition):
     """(sigma_i, p at scale i) for the scales with sigma_i > 0, finest first;
-    scale i is the marginal on the leading d-i+1 blocks (decimation)."""
-    d = sched.depth
-    GaussianBackend(partition).check_depth(d)
-    return [(s, mg.marginalize(p, partition, d - i)) for i, s in enumerate(sched.sigma) if s > 0.0]
+    scales as in :func:`gaussian.scale_marginals`."""
+    GaussianBackend(partition).check_depth(sched.depth)
+    return [(s, p_i) for s, p_i in zip(sched.sigma, mg.scale_marginals(p, partition)) if s > 0.0]
 
 
 def gaussian_max_entropy_objective(p, f, sched, partition):
@@ -354,10 +338,8 @@ def gaussian_min_relative_entropy_objective(p, f, q, sched, partition):
 def gaussian_refinement_gap(p, trace, partition):
     """Largest relative precision gap between p's coarse marginals and the
     refined intermediates of ``trace`` (0.0 for a single-scale solve)."""
-    d = partition.n_blocks
     worst = 0.0
-    for i in range(2, d + 1):
-        ref = trace.refined[i - 1].precision
-        marg = mg.marginalize(p, partition, d - i + 1).precision
-        worst = max(worst, float(np.abs(marg - ref).max() / max(1.0, np.abs(ref).max())))
+    for marg, ref in zip(mg.scale_marginals(p, partition)[1:], trace.refined[1:]):
+        gap = np.abs(marg.precision - ref.precision).max()
+        worst = max(worst, float(gap / max(1.0, np.abs(ref.precision).max())))
     return worst

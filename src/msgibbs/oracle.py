@@ -90,7 +90,8 @@ def minimize_tabular(objective, f, q, sched, chain, settings=None):
         log_q_scales = []
         for comp, size in zip(comps, sizes):
             marg = np.bincount(comp, weights=q.probs, minlength=size)
-            log_q_scales.append(np.log(marg))
+            # an empty fiber has no mass under p or q and must add 0, not 0 * inf
+            log_q_scales.append(np.log(np.maximum(marg, TOL.oracle_log_floor)))
 
     def objective_and_grad(log_p):
         p = np.exp(log_p)

@@ -373,17 +373,26 @@ def refine(coarsest, conditionals):
     return current
 
 
-def _scaled_marginals(p, sched, chain):
+def scale_marginals(p, chain):
+    """``p`` at every scale of ``chain``, finest first.
+
+    Scale 1 is ``p`` itself; scale i+1 is scale i pushed forward along
+    ``chain[i-1]``.
+    """
+    marginals = [p]
+    for t in chain:
+        marginals.append(pushforward(marginals[-1], t))
+    return marginals
+
+
+def _weighted_scales(p, sched, chain):
+    """(sigma_i, p at scale i) for the scales with sigma_i > 0, finest first."""
     if len(chain) != len(sched.sigma) - 1:
         raise SpaceMismatch(
             f"schedule of depth {len(sched.sigma)} needs {len(sched.sigma) - 1} "
             f"scale maps, got {len(chain)}"
         )
-    current = p
-    yield current
-    for t in chain:
-        current = pushforward(current, t)
-        yield current
+    return [(s, p_i) for s, p_i in zip(sched.sigma, scale_marginals(p, chain)) if s > 0.0]
 
 
 def multiscale_relative_entropy(p, q, sched, chain):
@@ -392,19 +401,10 @@ def multiscale_relative_entropy(p, q, sched, chain):
     Zero-weight scales are skipped, so ``sigma = (1, 0, ..., 0)`` reduces
     exactly to ``kl(p, q)``.
     """
-    total = 0.0
-    for sigma_i, p_i, q_i in zip(
-        sched.sigma, _scaled_marginals(p, sched, chain), _scaled_marginals(q, sched, chain)
-    ):
-        if sigma_i > 0.0:
-            total += sigma_i * kl(p_i, q_i)
-    return total
+    scales = zip(_weighted_scales(p, sched, chain), _weighted_scales(q, sched, chain))
+    return sum(sigma_i * kl(p_i, q_i) for (sigma_i, p_i), (_, q_i) in scales)
 
 
 def multiscale_shannon_entropy(p, sched, chain):
     """Sum of sigma_i * H(p at scale i) along the chain."""
-    total = 0.0
-    for sigma_i, p_i in zip(sched.sigma, _scaled_marginals(p, sched, chain)):
-        if sigma_i > 0.0:
-            total += sigma_i * shannon_entropy(p_i)
-    return total
+    return sum(sigma_i * shannon_entropy(p_i) for sigma_i, p_i in _weighted_scales(p, sched, chain))

@@ -205,3 +205,30 @@ def test_dirac_reference_teacher_student():
             mb.DiracReference.teacher_student(4, m_ratio, 1.0)
         with pytest.raises(NonIntegerTeacherDepth):
             mb.teacher_student_dpg_sum(4, m_ratio, 1.0)
+
+
+def test_bound_report_evaluates_divergences_once(monkeypatch):
+    rng = np.random.default_rng(9)
+    part = mg.BlockPartition((2, 1, 1))
+    cfg = mb.BoundConfig(R=1.2, n=40, d=3)
+    gaussian = (random_gaussian(4, rng, 0.1), random_gaussian(4, rng), part)
+    dirac = (mb.DiracReference((0.3, 0.0, 1.7)), None, None)
+    calls = []
+    divergence_per_scale = mb.divergence_per_scale
+
+    def counted(*args):
+        calls.append(args)
+        return divergence_per_scale(*args)
+
+    for qhat, prior, partition in (gaussian, dirac):
+        single = mb.excess_risk_single(qhat, prior, cfg, partition)
+        multi = mb.excess_risk_multiscale(qhat, prior, cfg, partition)
+        with monkeypatch.context() as patch:
+            patch.setattr(mb, "divergence_per_scale", counted)
+            calls.clear()
+            rep = mb.bound_report(qhat, prior, cfg, partition)
+            assert len(calls) == 1
+        assert rep["excess_risk_single"] == single
+        assert rep["excess_risk_multiscale"] == multi
+        divs = divergence_per_scale(qhat, prior, partition)
+        assert multi == mb.generalization_bound_value(divs, cfg)

@@ -273,6 +273,29 @@ def assert_one_config_error_line(err):
             {"d": 4, "teacher_student": {"M": 3.0, "log_inv_q2": 1.0}},
         ),
         ("experiment", "experiment_smoke.json", {"teacher_depth": 9}),
+        # configs the solvers cannot run: 'mt' on a chain that is not a decimation, a
+        # schedule deeper than the chain or the partition, prior blocks short of the prior
+        (
+            "solve-tabular",
+            "solve_tabular_binary3.json",
+            {"sigma": [1.0, 0.5], "chain": [{"source_axis_sizes": [2, 2, 2],
+                                              "target_axis_sizes": [3],
+                                              "map": [0, 0, 1, 1, 1, 2, 2, 2]}]},
+        ),
+        (
+            "solve-tabular",
+            "solve_tabular_binary3.json",
+            {"sigma": [1.0, 0.5, 0.25], "chain": [{"source_axis_sizes": [2, 2, 2],
+                                                    "target_axis_sizes": [2, 2],
+                                                    "map": [0, 0, 1, 1, 2, 2, 3, 3]}]},
+        ),
+        ("solve-gaussian", "solve_gaussian_demo.json", {"sigma": [1.0, 0.5, 0.4, 0.3, 0.2, 0.1]}),
+        (
+            "solve-gaussian",
+            "solve_gaussian_demo.json",
+            {"prior": {"mean": [0.0, 0.0, 0.0], "cov": [1.0, 0.0, 0.0, 0.0, 1.0, 0.0,
+                                                        0.0, 0.0, 1.0], "block_sizes": [1, 1]}},
+        ),
     ],
 )
 def test_config_errors_print_one_prefixed_line(tmp_path, capsys, command, config_name, change):

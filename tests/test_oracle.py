@@ -70,6 +70,19 @@ def test_mutual_optimality_bracket():
     assert obj_solver <= obj_oracle + 1e-6
 
 
+def test_empty_fiber_with_positive_reference():
+    # coarse state 3 has an empty fiber, so q's coarse marginal is zero there
+    rng = np.random.default_rng(8)
+    source, target = mt.ProductSpace((6,)), mt.ProductSpace((4,))
+    chain = [mt.ScaleMap(source, target, [0, 0, 1, 1, 2, 2])]
+    f = mt.EnergyTable(source, rng.uniform(-1.0, 1.0, source.size))
+    q = random_dist(source, rng)
+    sched = ms.TemperatureSchedule(1.0, (1.0, 0.7))
+    solver = ms.solve_min_relative_entropy(f, q, sched, ms.TabularBackend(chain))
+    out = mo.minimize_tabular("min-relative-entropy", f, q, sched, chain)
+    assert mt.total_variation(out, solver) < 1e-4
+
+
 def test_oracle_is_deterministic():
     rng = np.random.default_rng(4)
     space = mt.ProductSpace((2, 2))

@@ -1,0 +1,128 @@
+"""Property tests of the solvers at the edges the library ships.
+
+Tabular: decimation chains and random scale-map chains with uneven and
+empty fibers, references with zero-mass fibers, and sigma_i = 0 steps.
+Gaussian: random block partitions and temperature schedules with sigma_1
+across the experiment's grid 10^-9.5 ... 10^-2.5.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from msgibbs import gaussian as mg  # noqa: E402
+from msgibbs import multiscale as ms  # noqa: E402
+from msgibbs import oracle as mo  # noqa: E402
+from msgibbs import tabular as mt  # noqa: E402
+from msgibbs.tolerances import TOL  # noqa: E402
+
+#: sigma_1 grid of the teacher-student experiment (cli defaults, fig1)
+SIGMA1_GRID = np.logspace(-9.5, -2.5, 29)
+
+seeds = st.integers(0, 2**32 - 1)
+weights = st.one_of(st.just(0.0), st.floats(0.25, 2.0))
+
+
+@st.composite
+def chains(draw):
+    """A decimation chain or a random chain of scale maps, on at most 4096 states."""
+    if draw(st.booleans()):
+        axes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+        space = mt.ProductSpace(tuple(axes))
+        return ms.TabularBackend.decimation(space, draw(st.integers(1, space.ndim))).chain, space
+    rng = np.random.default_rng(draw(seeds))
+    sizes = [draw(st.integers(1, mo.MAX_ORACLE_STATES))]
+    for _ in range(draw(st.integers(0, 3))):
+        # up to two more targets than sources, so some fibers are empty
+        sizes.append(draw(st.integers(1, min(sizes[-1] + 2, 64))))
+    spaces = [mt.ProductSpace((n,)) for n in sizes]
+    chain = []
+    for source, target in zip(spaces, spaces[1:]):
+        # Dirichlet(0.3) fiber weights make fibers very uneven
+        mapping = rng.choice(target.size, source.size, p=rng.dirichlet(np.full(target.size, 0.3)))
+        chain.append(mt.ScaleMap(source, target, mapping))
+    return chain, spaces[0]
+
+
+@st.composite
+def tabular_problems(draw, positive_q):
+    """Energy, reference, schedule and chain; q may carry zero-mass fibers."""
+    chain, space = draw(chains())
+    rng = np.random.default_rng(draw(seeds))
+    f = mt.EnergyTable(space, rng.uniform(-2.0, 2.0, space.size))
+    q = rng.uniform(0.05, 1.0, space.size)
+    if not positive_q and chain and draw(st.booleans()):
+        # empty one whole fiber of the first map, and a random few states
+        q[chain[0].map == rng.integers(chain[0].target.size)] = 0.0
+        q[rng.random(space.size) < 0.2] = 0.0
+        if not q.any():
+            q[rng.integers(space.size)] = 1.0
+    sigma = (draw(st.floats(0.25, 2.0)), *(draw(weights) for _ in chain))
+    sched = ms.TemperatureSchedule(draw(st.floats(0.5, 2.0)), sigma)
+    return f, mt.TabularDist.from_weights(space, q), sched, chain
+
+
+def solves(f, q, sched, chain):
+    backend = ms.TabularBackend(chain)
+    yield "max-entropy", ms.solve_max_entropy(f, sched, backend, with_trace=True)
+    yield "min-relative-entropy", ms.solve_min_relative_entropy(
+        f, q, sched, backend, with_trace=True
+    )
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(tabular_problems(positive_q=False))
+def test_scale_marginals_reproduce_refined_trace(problem):
+    f, q, sched, chain = problem
+    for _, (solution, trace) in solves(f, q, sched, chain):
+        marginals = mt.scale_marginals(solution, chain)
+        assert len(marginals) == len(trace.refined) == sched.depth
+        for marginal, refined in zip(marginals, trace.refined):
+            assert mt.total_variation(marginal, refined) <= 1e-10
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(tabular_problems(positive_q=True))
+def test_solver_matches_oracle(problem):
+    f, q, sched, chain = problem
+    for kind, (solution, _) in solves(f, q, sched, chain):
+        oracle = mo.minimize_tabular(kind, f, q, sched, chain)
+        assert mt.total_variation(solution, oracle) <= TOL.oracle_agreement_tv
+
+
+@st.composite
+def gaussian_problems(draw):
+    """Gauss-Newton-like (PSD, possibly rank-deficient) energy, isotropic prior,
+    block partition and schedule."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    partition = mg.BlockPartition(tuple(sizes))
+    dim = partition.total_dim
+    rng = np.random.default_rng(draw(seeds))
+    jac = rng.standard_normal((draw(st.integers(1, dim)), dim))
+    energy = mg.QuadraticEnergy(jac.T @ jac, 0.1 * rng.standard_normal(dim))
+    variance = draw(st.sampled_from((5e-5, 5e-4)))
+    prior = mg.GaussianDist(np.zeros(dim), variance * np.eye(dim))
+    sigma1 = draw(st.sampled_from(SIGMA1_GRID))
+    ratios = st.one_of(st.just(0.0), st.floats(1e-2, 1e2))
+    sigma = (sigma1, *(sigma1 * draw(ratios) for _ in range(partition.n_blocks - 1)))
+    sched = ms.TemperatureSchedule(draw(st.floats(0.5, 2.0)), sigma)
+    return energy, prior, sched, partition
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(gaussian_problems(), st.floats(1e-2, 1.0))
+def test_gaussian_refinement_consistency(problem, ridge):
+    energy, prior, sched, partition = problem
+    backend = ms.GaussianBackend(partition)
+    solution, trace = ms.solve_min_relative_entropy(
+        energy, prior, sched, backend, with_trace=True
+    )
+    assert ms.gaussian_refinement_gap(solution, trace, partition) <= TOL.refinement_consistency
+    # entropy maximization needs a strictly positive-definite energy
+    strict = mg.QuadraticEnergy(energy.K + ridge * np.eye(energy.dim), energy.g)
+    solution, trace = ms.solve_max_entropy(strict, sched, backend, with_trace=True)
+    assert ms.gaussian_refinement_gap(solution, trace, partition) <= TOL.refinement_consistency

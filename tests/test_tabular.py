@@ -160,6 +160,19 @@ def test_pushforward():
         mt.pushforward(p4, dec)
 
 
+def test_scale_marginals():
+    rng = np.random.default_rng(23)
+    space = mt.ProductSpace((2, 3, 2))
+    p = random_dist(space, rng)
+    assert mt.scale_marginals(p, []) == [p]
+    dec = mt.ScaleMap.decimation(space)
+    fold = mt.ScaleMap(dec.target, mt.ProductSpace((3,)), [0, 1, 2, 0, 1, 2])
+    scales = mt.scale_marginals(p, [dec, fold])
+    assert scales[0] is p
+    assert np.array_equal(scales[1].probs, mt.pushforward(p, dec).probs)
+    assert np.array_equal(scales[2].probs, mt.pushforward(scales[1], fold).probs)
+
+
 def test_reverse_conditional_and_refine():
     s4 = mt.ProductSpace((4,))
     s2 = mt.ProductSpace((2,))
