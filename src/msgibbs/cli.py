@@ -215,10 +215,24 @@ _EXPERIMENT_DEFAULTS = {
 }
 
 
+def _integral(value, path):
+    """A JSON number with an integral value, as an int."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ConfigError(f"{path}: must be an integer, got {value!r}")
+    return int(value)
+
+
 def _resolve_experiment(cfg, seed_override):
     resolved = {**_EXPERIMENT_DEFAULTS, **cfg}
     if seed_override is not None:
         resolved["seed"] = int(seed_override)
+    for key in ("m", "d", "teacher_depth", "n_train", "seed", "n_test", "n_weights"):
+        resolved[key] = _integral(resolved[key], f"$.{key}")
+    for key, least in (("n_test", 1), ("n_weights", 1), ("seed", 0)):
+        if resolved[key] < least:
+            raise ConfigError(f"$.{key}: must be >= {least}")
     if not resolved["alpha_grid"]:
         raise ConfigError("$.alpha_grid: grid must be nonempty")
     if any(not 0.0 <= a <= 0.999 for a in resolved["alpha_grid"]):
@@ -227,7 +241,7 @@ def _resolve_experiment(cfg, seed_override):
     if isinstance(sg, dict):
         lo = float(_require(sg, "log10_min", "$.sigma1_grid"))
         hi = float(_require(sg, "log10_max", "$.sigma1_grid"))
-        pts = int(sg.get("points", 29))
+        pts = _integral(sg.get("points", 29), "$.sigma1_grid.points")
         if pts < 1:
             raise ConfigError("$.sigma1_grid.points: must be >= 1")
         sigma1s = np.logspace(lo, hi, pts)
@@ -253,7 +267,7 @@ def _experiment_setup(resolved_json):
     resolved = json.loads(resolved_json)
     cfg = _teacher_student_config(resolved)
     problem = mn.teacher_student_problem(cfg)
-    return (cfg, *problem, int(resolved["n_test"]), int(resolved["n_weights"]))
+    return (cfg, *problem, resolved["n_test"], resolved["n_weights"])
 
 
 def _experiment_point(task):
@@ -312,6 +326,10 @@ def cmd_bounds(args):
             d=int(_require(cfg, "d")),
         )
         if kind == "dirac":
+            if "log_inv_q" in cfg and "teacher_student" in cfg:
+                raise ConfigError(
+                    "$: a dirac reference takes 'log_inv_q' or 'teacher_student', not both"
+                )
             if "log_inv_q" in cfg:
                 qhat = mb.DiracReference(tuple(cfg["log_inv_q"]))
             else:

@@ -1,8 +1,9 @@
 """Closed-form multivariate Gaussian algebra.
 
 Marginalization, conditioning, scaling, tilting, concatenation, KL and
-sampling, on a dual covariance/precision parameterization with lazily
-cached factors.  Degenerate (rank-deficient) Gaussians are rejected.
+sampling.  A distribution stores the covariance or precision it is built from;
+the other matrix and the covariance factor are derived and cached when first
+read.  Degenerate (rank-deficient) Gaussians are rejected.
 """
 
 import math
@@ -78,60 +79,65 @@ class BlockPartition:
 class GaussianDist:
     """Multivariate normal with mean vector and strictly PD covariance."""
 
-    __slots__ = ("mean", "cov", "_chol", "_precision", "_log_det_cov")
+    __slots__ = ("mean", "_cov", "_chol", "_precision")
 
-    def __init__(self, mean, cov, _precision=None):
-        mean = np.array(mean, dtype=float, copy=True).reshape(-1)
+    def __init__(self, mean, cov):
         cov = _symmetrize(cov, "covariance")
-        if cov.shape[0] != mean.size:
-            raise DimensionMismatch(
-                f"mean has dim {mean.size}, covariance is {cov.shape[0]}x{cov.shape[1]}"
-            )
-        chol = _cholesky_pd(cov, "covariance")
-        mean.setflags(write=False)
         cov.setflags(write=False)
-        self.mean = mean
-        self.cov = cov
-        self._chol = chol
-        self._precision = _precision
-        self._log_det_cov = None
+        self._store(mean, cov, None, "covariance")
+        self._chol = _cholesky_pd(cov, "covariance")
 
     @classmethod
     def from_precision(cls, mean, precision):
         """Build from the natural (precision) parameterization."""
-        precision = _symmetrize(precision, "precision")
-        _cholesky_pd(precision, "precision")
-        cov = np.linalg.inv(precision)
-        cov = 0.5 * (cov + cov.T)
-        return cls(mean, cov, _precision=precision)
+        self = cls.__new__(cls)
+        self._store(mean, None, _symmetrize(precision, "precision"), "precision")
+        _cholesky_pd(self._precision, "precision")
+        return self
+
+    def _store(self, mean, cov, precision, what):
+        mean = np.array(mean, dtype=float, copy=True).reshape(-1)
+        size = (cov if precision is None else precision).shape[0]
+        if size != mean.size:
+            raise DimensionMismatch(f"mean has dim {mean.size}, {what} is {size}x{size}")
+        mean.setflags(write=False)
+        self.mean, self._cov, self._chol, self._precision = mean, cov, None, precision
 
     @property
     def dim(self):
         return self.mean.size
 
     @property
+    def cov(self):
+        if self._cov is None:
+            inv = np.linalg.inv(self._precision)
+            self._cov = 0.5 * (inv + inv.T)
+            self._cov.setflags(write=False)
+        return self._cov
+
+    @property
     def chol(self):
         """Lower Cholesky factor of the covariance."""
+        if self._chol is None:
+            self._chol = _cholesky_pd(self.cov, "covariance")
         return self._chol
 
     @property
     def precision(self):
         if self._precision is None:
-            inv = np.linalg.inv(self.cov)
+            inv = np.linalg.inv(self._cov)
             self._precision = 0.5 * (inv + inv.T)
         return self._precision
 
     @property
     def log_det_cov(self):
-        if self._log_det_cov is None:
-            self._log_det_cov = 2.0 * float(np.log(np.diag(self._chol)).sum())
-        return self._log_det_cov
+        return 2.0 * float(np.log(np.diag(self.chol)).sum())
 
     def log_density(self, points):
         """Log density at one point (dim,) or a batch (n, dim)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         delta = pts - self.mean
-        half = np.linalg.solve(self._chol, delta.T)
+        half = np.linalg.solve(self.chol, delta.T)
         quad = (half**2).sum(axis=0)
         out = -0.5 * (quad + self.dim * math.log(2.0 * math.pi) + self.log_det_cov)
         return out[0] if np.asarray(points).ndim == 1 else out
@@ -172,9 +178,6 @@ class GaussianConditional:
         object.__setattr__(self, "gain", gain)
         object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "cov", cov)
-
-    def mean_at(self, a):
-        return self.offset + self.gain @ np.asarray(a, dtype=float).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -351,14 +354,11 @@ def gibbs_gaussian(energy, prior, beta):
             f"energy dim {energy.dim} differs from prior dim {prior.dim}"
         )
     prec = prior.precision + beta * energy.K
-    prec = 0.5 * (prec + prec.T)
-    try:
-        _cholesky_pd(prec, "posterior precision")
-    except ValueError as exc:
-        raise IndefinitePosterior(str(exc)) from exc
     shift = prior.precision @ prior.mean - beta * energy.g
-    mean = np.linalg.solve(prec, shift)
-    return GaussianDist.from_precision(mean, prec)
+    try:
+        return GaussianDist.from_precision(np.linalg.solve(prec, shift), prec)
+    except ValueError as exc:  # np.linalg.LinAlgError is a ValueError
+        raise IndefinitePosterior(f"posterior precision: {exc}") from exc
 
 
 def expected_quadratic(g, energy):

@@ -296,6 +296,17 @@ def assert_one_config_error_line(err):
             {"prior": {"mean": [0.0, 0.0, 0.0], "cov": [1.0, 0.0, 0.0, 0.0, 1.0, 0.0,
                                                         0.0, 0.0, 1.0], "block_sizes": [1, 1]}},
         ),
+        # a dirac reference given twice: per-scale divergences and the DPG sum would disagree
+        ("bounds", "bounds_teacher_student.json", {"log_inv_q": [0.5, 0.5, 0.5, 0.5]}),
+        # integer fields with non-integral values, empty test or weight samples, a negative seed
+        ("experiment", "experiment_smoke.json", {"m": 4.7}),
+        ("experiment", "experiment_smoke.json", {"seed": 7.5}),
+        ("experiment", "experiment_smoke.json", {"n_train": "12"}),
+        ("experiment", "experiment_smoke.json",
+         {"sigma1_grid": {"log10_min": -6.0, "log10_max": -3.0, "points": 2.9}}),
+        ("experiment", "experiment_smoke.json", {"n_test": 0}),
+        ("experiment", "experiment_smoke.json", {"n_weights": 0}),
+        ("experiment", "experiment_smoke.json", {"seed": -1}),
     ],
 )
 def test_config_errors_print_one_prefixed_line(tmp_path, capsys, command, config_name, change):

@@ -37,6 +37,63 @@ def test_construction_invariants():
     assert np.allclose(g.precision @ g.cov, np.eye(2), atol=1e-12)
 
 
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Counts of the np.linalg.cholesky and np.linalg.inv calls made from now on."""
+    calls = {"cholesky": 0, "inv": 0}
+    for name in calls:
+        def counted(*args, _name=name, _func=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _func(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_from_precision_factors_once_and_inverts_on_first_read(linalg_calls):
+    prec = random_pd(4, np.random.default_rng(11))
+    g = mg.GaussianDist.from_precision(np.ones(4), prec)
+    assert linalg_calls == {"cholesky": 1, "inv": 0}
+    assert g.precision is g.precision
+    assert linalg_calls == {"cholesky": 1, "inv": 0}
+    g.chol
+    assert linalg_calls == {"cholesky": 2, "inv": 1}
+
+
+def test_from_precision_derives_covariance_and_factor_once(linalg_calls):
+    prec = random_pd(5, np.random.default_rng(12))
+    prec[0, 1] += 1e-13  # asymmetric within tolerance: the stored precision is symmetrized
+    g = mg.GaussianDist.from_precision(np.zeros(5), prec)
+    sym = 0.5 * (prec + prec.T)
+    inv = np.linalg.inv(sym)
+    cov = 0.5 * (inv + inv.T)
+    chol = np.linalg.cholesky(cov)
+    linalg_calls.update(cholesky=0, inv=0)
+    assert np.array_equal(g.cov, cov) and g.cov is g.cov
+    assert np.array_equal(g.chol, chol) and g.chol is g.chol
+    assert g.log_det_cov == 2.0 * float(np.log(np.diag(chol)).sum())
+    assert linalg_calls == {"cholesky": 1, "inv": 1}
+    assert np.array_equal(g.precision, sym)
+    assert not g.cov.flags.writeable and not g.mean.flags.writeable
+    with pytest.raises(ValueError):
+        g.cov[0, 0] = 1.0
+
+
+def test_from_precision_checks_the_covariance_factor_on_first_read():
+    # a PD precision whose inverse has a Cholesky pivot of 1e-15, below the floor
+    g = mg.GaussianDist.from_precision([0.0, 0.0], np.diag([1e30, 1.0]))
+    assert np.allclose(g.cov, np.diag([1e-30, 1.0]), rtol=1e-12, atol=0.0)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="pivot below the floor"):
+            g.chol
+    with pytest.raises(ValueError):
+        mg.sample(g, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        mg.GaussianDist.from_precision([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(DimensionMismatch):
+        mg.GaussianDist.from_precision([0.0], np.eye(2))
+
+
 def test_marginalize():
     rng = np.random.default_rng(0)
     part = mg.BlockPartition((2, 1))
@@ -280,12 +337,23 @@ def test_gibbs_gaussian():
     scale = np.abs(prior.cov).max()
     assert np.abs(near.mean - prior.mean).max() < 1e-6 * scale
     assert np.abs(near.cov - prior.cov).max() < 1e-6 * scale
-    with pytest.raises(IndefinitePosterior):
+    with pytest.raises(IndefinitePosterior, match="not positive definite"):
         bad = mg.QuadraticEnergy.__new__(mg.QuadraticEnergy)
         object.__setattr__(bad, "K", -10.0 * np.eye(2))
         object.__setattr__(bad, "g", np.zeros(2))
         object.__setattr__(bad, "c", 0.0)
         mg.gibbs_gaussian(bad, prior, 1.0)
+
+
+def test_gibbs_gaussian_factors_its_precision_once(linalg_calls):
+    rng = np.random.default_rng(13)
+    prior = random_gaussian(4, rng)
+    energy = mg.QuadraticEnergy(random_pd(4, rng), rng.standard_normal(4), 0.0)
+    prior.precision  # the prior's own inversion is not the posterior's
+    linalg_calls.update(cholesky=0, inv=0)
+    post = mg.gibbs_gaussian(energy, prior, 2.0)
+    assert linalg_calls == {"cholesky": 1, "inv": 0}
+    assert np.array_equal(post.precision, prior.precision + 2.0 * energy.K)
 
 
 def test_quadratic_energy_validation():
