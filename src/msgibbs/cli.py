@@ -248,8 +248,8 @@ def _resolve_experiment(cfg, seed_override):
         resolved["sigma1_grid"] = {"log10_min": lo, "log10_max": hi, "points": pts}
     else:
         sigma1s = np.asarray([float(s) for s in sg])
-        if sigma1s.size == 0 or np.any(sigma1s <= 0.0):
-            raise ConfigError("$.sigma1_grid: need positive values")
+    if sigma1s.size == 0 or not np.all(np.isfinite(sigma1s) & (sigma1s > 0.0)):
+        raise ConfigError("$.sigma1_grid: need finite, positive values")
     # output rows (and per-point seeds) follow the sorted grid order
     alphas = sorted(float(a) for a in resolved["alpha_grid"])
     return resolved, alphas, np.sort(sigma1s)
@@ -322,8 +322,8 @@ def cmd_bounds(args):
         kind = _require(cfg, "kind")
         bc = mb.BoundConfig(
             R=float(_require(cfg, "R")),
-            n=int(_require(cfg, "n")),
-            d=int(_require(cfg, "d")),
+            n=_integral(_require(cfg, "n"), "$.n"),
+            d=_integral(_require(cfg, "d"), "$.d"),
         )
         if kind == "dirac":
             if "log_inv_q" in cfg and "teacher_student" in cfg:

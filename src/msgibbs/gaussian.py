@@ -41,6 +41,7 @@ def _cholesky_pd(mat, what="matrix"):
         raise ValueError(
             f"{what} has a Cholesky pivot below the floor {TOL.cholesky_pivot_floor}"
         )
+    factor.setflags(write=False)
     return factor
 
 
@@ -83,7 +84,6 @@ class GaussianDist:
 
     def __init__(self, mean, cov):
         cov = _symmetrize(cov, "covariance")
-        cov.setflags(write=False)
         self._store(mean, cov, None, "covariance")
         self._chol = _cholesky_pd(cov, "covariance")
 
@@ -97,10 +97,12 @@ class GaussianDist:
 
     def _store(self, mean, cov, precision, what):
         mean = np.array(mean, dtype=float, copy=True).reshape(-1)
-        size = (cov if precision is None else precision).shape[0]
+        matrix = cov if precision is None else precision
+        size = matrix.shape[0]
         if size != mean.size:
             raise DimensionMismatch(f"mean has dim {mean.size}, {what} is {size}x{size}")
         mean.setflags(write=False)
+        matrix.setflags(write=False)
         self.mean, self._cov, self._chol, self._precision = mean, cov, None, precision
 
     @property
@@ -127,6 +129,7 @@ class GaussianDist:
         if self._precision is None:
             inv = np.linalg.inv(self._cov)
             self._precision = 0.5 * (inv + inv.T)
+            self._precision.setflags(write=False)
         return self._precision
 
     @property

@@ -177,32 +177,27 @@ class ScaleMap:
 
 
 class ConditionalTable:
-    """One distribution over ``output_space`` per state of ``given_space``.
+    """Reverse conditional of ``p`` along the scale map ``t``, both checked already.
 
-    Stored densely along a map: output state i lies in row ``map[i]`` with
-    probability ``probs[i]``.  Undefined rows (``defined[j]`` False) are empty.
+    Row j, over ``output_space`` (t's source) given state j of ``given_space``
+    (t's target), is p on the fiber of j, renormalized.  Output state i lies in
+    row ``map[i]`` (``t.map`` itself) with probability ``probs[i]``; rows whose
+    fiber carries no mass are undefined (``defined[j]`` False) and hold zeros.
     """
 
     __slots__ = ("given_space", "output_space", "map", "probs", "defined")
 
-    def __init__(self, given_space, output_space, mapping, probs, defined):
-        mapping = _readonly(mapping, np.int64)
-        probs = _readonly(probs)
-        defined = _readonly(defined, bool)
-        if mapping.shape != (output_space.size,) or probs.shape != mapping.shape:
-            raise SpaceMismatch("one map entry and probability per output state required")
-        if defined.shape != (given_space.size,):
-            raise SpaceMismatch("one row per conditioning state required")
-        if mapping.min(initial=0) < 0 or mapping.max(initial=0) >= given_space.size:
-            raise ValueError("map entries out of range")
-        if not np.all((probs >= 0.0) & (defined[mapping] | (probs == 0.0))):
-            raise ValueError("row probabilities must be nonnegative, zero in undefined rows")
-        sums = np.bincount(mapping, weights=probs, minlength=given_space.size)
-        if not np.all(np.abs(sums[defined] - 1.0) <= TOL.normalization):
-            raise ValueError("each defined row must sum to 1")
-        self.given_space = given_space
-        self.output_space = output_space
-        self.map = mapping
+    def __init__(self, p, t):
+        if t.source.axis_sizes != p.space.axis_sizes:
+            raise SpaceMismatch("scale map source differs from the distribution's space")
+        mass = np.bincount(t.map, weights=p.probs, minlength=t.target.size)
+        defined = mass > TOL.conditional_row_mass
+        probs = np.divide(p.probs, mass[t.map], out=np.zeros(t.source.size), where=defined[t.map])
+        probs.setflags(write=False)
+        defined.setflags(write=False)
+        self.given_space = t.target
+        self.output_space = t.source
+        self.map = t.map
         self.probs = probs
         self.defined = defined
 
@@ -340,15 +335,9 @@ def pushforward(p, t):
 def reverse_conditional(p, t):
     """Conditional of ``p`` given its image under ``t`` (Bayes inversion).
 
-    Row j is p restricted to the fiber of j, renormalized; rows whose fiber
-    carries no mass are undefined.
+    Returns ``ConditionalTable(p, t)``; see there for its rows.
     """
-    if t.source.axis_sizes != p.space.axis_sizes:
-        raise SpaceMismatch("scale map source differs from the distribution's space")
-    mass = np.bincount(t.map, weights=p.probs, minlength=t.target.size)
-    defined = mass > TOL.conditional_row_mass
-    probs = np.divide(p.probs, mass[t.map], out=np.zeros(t.source.size), where=defined[t.map])
-    return ConditionalTable(t.target, t.source, t.map, probs, defined)
+    return ConditionalTable(p, t)
 
 
 def refine(coarsest, conditionals):

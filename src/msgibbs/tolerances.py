@@ -10,8 +10,6 @@ from dataclasses import dataclass
 class Tolerances:
     # probability vectors must sum to one within this
     normalization: float = 1e-12
-    # decomposition identities and round-trip checks
-    identity: float = 1e-10
     # max |A - A^T| relative to max(1, |A|_max) accepted before symmetrizing
     symmetry: float = 1e-10
     # smallest accepted diagonal entry of a Cholesky factor

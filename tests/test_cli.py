@@ -307,6 +307,14 @@ def assert_one_config_error_line(err):
         ("experiment", "experiment_smoke.json", {"n_test": 0}),
         ("experiment", "experiment_smoke.json", {"n_weights": 0}),
         ("experiment", "experiment_smoke.json", {"seed": -1}),
+        # non-finite sigma1 grid values (JSON allows NaN and Infinity)
+        ("experiment", "experiment_smoke.json", {"sigma1_grid": [1e-4, math.nan]}),
+        ("experiment", "experiment_smoke.json", {"sigma1_grid": [1e-4, math.inf]}),
+        ("experiment", "experiment_smoke.json",
+         {"sigma1_grid": {"log10_min": math.nan, "log10_max": -3.0, "points": 2}}),
+        # bounds: a non-integral sample count and a boolean one
+        ("bounds", "bounds_gaussian_demo.json", {"n": 30.7}),
+        ("bounds", "bounds_gaussian_demo.json", {"n": True}),
     ],
 )
 def test_config_errors_print_one_prefixed_line(tmp_path, capsys, command, config_name, change):

@@ -74,9 +74,12 @@ def test_from_precision_derives_covariance_and_factor_once(linalg_calls):
     assert g.log_det_cov == 2.0 * float(np.log(np.diag(chol)).sum())
     assert linalg_calls == {"cholesky": 1, "inv": 1}
     assert np.array_equal(g.precision, sym)
-    assert not g.cov.flags.writeable and not g.mean.flags.writeable
-    with pytest.raises(ValueError):
-        g.cov[0, 0] = 1.0
+    # stored and derived arrays are read-only, from a precision and from a covariance
+    for dist in (g, mg.GaussianDist(np.zeros(5), cov)):
+        for arr in (dist.mean, dist.cov, dist.precision, dist.chol):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
 
 def test_from_precision_checks_the_covariance_factor_on_first_read():

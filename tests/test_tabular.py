@@ -16,6 +16,7 @@ from msgibbs.errors import (
     VanishingPartitionFunction,
 )
 from msgibbs.multiscale import TemperatureSchedule
+from msgibbs.tolerances import TOL
 
 
 def random_dist(space, rng, low=0.05):
@@ -231,28 +232,6 @@ def test_refine_empty_and_zero_mass_fibers():
             mt.refine(mt.TabularDist(s4, probs), [cond])
 
 
-def test_conditional_table_validation():
-    s3 = mt.ProductSpace((3,))
-    s2 = mt.ProductSpace((2,))
-    mt.ConditionalTable(s2, s3, [0, 0, 1], [0.4, 0.6, 1.0], [True, True])
-    with pytest.raises(ValueError, match="nonnegative"):
-        mt.ConditionalTable(s2, s3, [0, 0, 1], [1.2, -0.2, 1.0], [True, True])
-    with pytest.raises(ValueError, match="out of range"):
-        mt.ConditionalTable(s2, s3, [0, 0, 2], [0.4, 0.6, 1.0], [True, True])
-    with pytest.raises(ValueError, match="out of range"):
-        mt.ConditionalTable(s2, s3, [0, -1, 1], [0.4, 0.6, 1.0], [True, True])
-    with pytest.raises(ValueError, match="sum to 1"):
-        mt.ConditionalTable(s2, s3, [0, 0, 1], [0.4, 0.5, 1.0], [True, True])
-    with pytest.raises(ValueError, match="zero in undefined rows"):
-        mt.ConditionalTable(s2, s3, [0, 0, 1], [0.4, 0.6, 1.0], [True, False])
-    with pytest.raises(SpaceMismatch):
-        mt.ConditionalTable(s2, s3, [0, 0], [0.4, 0.6], [True, True])
-    with pytest.raises(SpaceMismatch):
-        mt.ConditionalTable(s2, s3, [0, 0, 1], [0.4, 0.6, 1.0], [True])
-    # an undefined row may be empty, and its sum is not checked
-    mt.ConditionalTable(s2, s3, [0, 0, 0], [0.2, 0.3, 0.5], [True, False])
-
-
 def test_conditional_rows_match_fibers():
     rng = np.random.default_rng(13)
     source = mt.ProductSpace((40,))
@@ -274,6 +253,21 @@ def test_conditional_rows_match_fibers():
         assert np.allclose(pr, p.probs[fiber] / mass, rtol=1e-15, atol=0.0)
     with pytest.raises(AttributeError):
         cond.rows = ()
+
+    # the one construction path: t's map is shared, the derived arrays are frozen
+    assert cond.map is t.map
+    assert cond.given_space is target and cond.output_space is source
+    for arr in (cond.probs, cond.defined):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+    assert np.all(cond.probs >= 0.0)
+    assert not cond.probs[~cond.defined[t.map]].any()
+    sums = np.bincount(t.map, weights=cond.probs, minlength=target.size)
+    assert cond.defined.tolist() == [row is not None for row in cond.rows]
+    assert np.all(np.abs(sums[cond.defined] - 1.0) <= TOL.normalization)
+    with pytest.raises(SpaceMismatch):
+        mt.reverse_conditional(mt.TabularDist.uniform(target), t)
 
 
 def test_solver_matches_oracle_on_uneven_chain():
