@@ -15,7 +15,7 @@ cfg = mn.TeacherStudentConfig(
     m=10, d=4, teacher_depth=2, n_train=30,
     teacher_weight_variance=0.1, prior_variance=5e-5, seed=0,
 )
-teacher, energy, prior, partition = mn.teacher_student_problem(cfg)
+teacher, train = mn.teacher_student_problem(cfg)
 
 alphas = [0.0, 0.2, 0.4, 0.6, 0.8, 0.999]
 sigma1s = np.logspace(-9.5, -2.5, 11)
@@ -23,7 +23,7 @@ print("alpha | min-over-sigma1 risk | stderr | argmin sigma1")
 for alpha in alphas:
     best = None
     for idx, sigma1 in enumerate(sigma1s):
-        posterior = mn.multiscale_posterior(energy, prior, alpha, float(sigma1), partition)
+        posterior = mn.teacher_student_posterior(cfg, train, alpha, float(sigma1))
         seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1, idx))
         risk, stderr = mn.population_risk_mc(posterior, teacher, cfg, 1000, 100, seed)
         if best is None or risk < best[0]:

@@ -102,11 +102,14 @@ def _csv_line(*values):
 
 def _schedule_from(cfg, path="$"):
     if "sigma" in cfg:
-        lam = float(cfg.get("lambda", 1.0))
-        return ms.TemperatureSchedule(lam, tuple(cfg["sigma"]))
+        lam = _number(cfg.get("lambda", 1.0), f"{path}.lambda")
+        sigma = [_number(s, f"{path}.sigma[{i}]") for i, s in enumerate(cfg["sigma"])]
+        return ms.TemperatureSchedule(lam, tuple(sigma))
     if "alpha" in cfg:
         return ms.alpha_schedule(
-            float(cfg["alpha"]), float(_require(cfg, "sigma1", path)), int(_require(cfg, "d", path))
+            _number(cfg["alpha"], f"{path}.alpha"),
+            _number(_require(cfg, "sigma1", path), f"{path}.sigma1"),
+            _integral(_require(cfg, "d", path), f"{path}.d"),
         )
     raise ConfigError(f"{path}: need 'sigma' or 'alpha'")
 
@@ -224,6 +227,13 @@ def _integral(value, path):
     return int(value)
 
 
+def _number(value, path):
+    """A JSON number (not a bool or a string), as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path}: must be a number, got {value!r}")
+    return float(value)
+
+
 def _resolve_experiment(cfg, seed_override):
     resolved = {**_EXPERIMENT_DEFAULTS, **cfg}
     if seed_override is not None:
@@ -263,7 +273,7 @@ def _teacher_student_config(resolved):
 
 @functools.lru_cache(maxsize=1)
 def _experiment_setup(resolved_json):
-    """Config, teacher, energy, prior, partition, n_test and n_weights, cached per process."""
+    """Config, teacher, training set, n_test and n_weights, cached per process."""
     resolved = json.loads(resolved_json)
     cfg = _teacher_student_config(resolved)
     problem = mn.teacher_student_problem(cfg)
@@ -272,8 +282,8 @@ def _experiment_setup(resolved_json):
 
 def _experiment_point(task):
     resolved_json, index, alpha, sigma1 = task
-    cfg, teacher, energy, prior, partition, n_test, n_weights = _experiment_setup(resolved_json)
-    posterior = mn.multiscale_posterior(energy, prior, alpha, sigma1, partition)
+    cfg, teacher, train, n_test, n_weights = _experiment_setup(resolved_json)
+    posterior = mn.teacher_student_posterior(cfg, train, alpha, sigma1)
     seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1, index))
     risk, stderr = mn.population_risk_mc(posterior, teacher, cfg, n_test, n_weights, seed)
     return index, alpha, sigma1, risk, stderr

@@ -5,6 +5,12 @@ population-risk estimation.
 Weights flatten layer-major, row-major within each layer; block i of the
 partition is layer i (m*m dims each).  Decimation drops the deepest layer
 first, so scale i covers layers 1..d-i+1.
+
+The teacher-student posterior has an exact reduced form
+(:func:`teacher_student_posterior`): expanded at zero weights, with an iid
+zero-mean prior and the layer partition, the Gauss-Newton curvature is
+``11' (x) I_m (x) S`` and the dim-d*m^2 solve splits into one dim-d*m solve.
+:func:`multiscale_posterior` on the dense energy is its oracle.
 """
 
 import math
@@ -36,6 +42,7 @@ __all__ = [
     "weight_jacobian",
     "gauss_newton_energy",
     "multiscale_posterior",
+    "teacher_student_posterior",
     "teacher_student_data",
     "teacher_student_problem",
     "population_risk_mc",
@@ -324,14 +331,48 @@ def teacher_student_data(cfg, rng):
 
 
 def teacher_student_problem(cfg):
-    """Teacher, Gauss-Newton energy at zero weights, prior and layer partition.
-
-    Teacher and training set are drawn from ``SeedSequence(cfg.seed, spawn_key=(0,))``.
-    """
+    """Teacher and training set drawn from ``SeedSequence(cfg.seed, spawn_key=(0,))``."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,)))
     teacher, train, _ = teacher_student_data(cfg, rng)
-    energy = gauss_newton_energy(ResNetParams.zeros(cfg.m, cfg.d), train)
-    return teacher, energy, iid_gaussian_prior(cfg), layer_partition(cfg.m, cfg.d)
+    return teacher, train
+
+
+def teacher_student_posterior(cfg, train, alpha, sigma1):
+    """:func:`multiscale_posterior` of the zero-weight Gauss-Newton energy of
+    ``train`` under :func:`iid_gaussian_prior` and :func:`layer_partition`,
+    from one dim-d*m solve instead of the dense dim-d*m^2 one.
+
+    Exact for this problem only: expansion at zero weights, iid zero-mean
+    prior, layer partition.  There every layer's Jacobian is ``I_m (x) x'``,
+    so ``K = 11'_d (x) I_m (x) S`` and ``g = 1_d (x) vec(G)`` with
+    ``S = (2/n) X'X`` and ``G = (2/n) (X - Y)'X``.  Rotating each layer's input
+    index into the eigenbasis ``S = Q diag(lam) Q'`` leaves the prior and the
+    partition as they are and splits the problem into m identical output rows,
+    in which eigen-coordinate j is a d-dim problem with curvature ``lam_j 11'``
+    and shift ``(GQ)[a, j] 1``.  One solve with ``K_r = 11'_d (x) diag(lam)``,
+    ``g_r = 1`` and partition ``(m,) * d`` covers them all; its mean u and
+    covariance C expand to ``W_k = G Q diag(u_k) Q'`` and
+    ``Cov(W_k[a, b], W_l[c, e]) = delta_ac (Q C_kl Q')[b, e]``.
+    """
+    m, d = cfg.m, cfg.d
+    if train.xs.shape[1] != m:
+        raise DimensionMismatch(f"inputs have dim {train.xs.shape[1]}, network width is {m}")
+    # from X = U diag(s) Q': lam = (2/n) s^2 and GQ = (2/n) R'U diag(s), both exactly
+    # zero on the null space of X when n < m.  g_r is zero there too: with g_r = 1 the
+    # reduced mean there is of order 1/sigma1, and rounding would carry it elsewhere
+    left, sv, rot = np.linalg.svd(train.xs, full_matrices=train.n < m)
+    scale = 2.0 / train.n
+    lam = np.zeros(m)
+    lam[: sv.size] = scale * sv**2
+    shift = np.zeros((m, m))
+    shift[:, : sv.size] = scale * (train.xs - train.ys).T @ left * sv
+    energy = QuadraticEnergy(np.kron(np.ones((d, d)), np.diag(lam)), np.tile(lam > 0.0, d))
+    prior = GaussianDist(np.zeros(d * m), cfg.prior_variance * np.eye(d * m))
+    reduced = multiscale_posterior(energy, prior, alpha, sigma1, BlockPartition((m,) * d))
+    mean = np.einsum("aj,kj,jb->kab", shift, reduced.mean.reshape(d, m), rot)
+    blocks = np.einsum("jb,kjlJ,Je->kble", rot, reduced.cov.reshape(d, m, d, m), rot)
+    cov = np.einsum("ac,kble->kablce", np.eye(m), blocks)
+    return GaussianDist(mean.reshape(-1), cov.reshape(d * m * m, d * m * m))
 
 
 def population_risk_mc(posterior, teacher, cfg, n_test, n_weights, seed):

@@ -257,6 +257,10 @@ def test_missing_config_file(capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+#: a ``change`` value that removes the key from the config
+DROP = object()
+
+
 def assert_one_config_error_line(err):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error: ")
@@ -315,17 +319,45 @@ def assert_one_config_error_line(err):
         # bounds: a non-integral sample count and a boolean one
         ("bounds", "bounds_gaussian_demo.json", {"n": 30.7}),
         ("bounds", "bounds_gaussian_demo.json", {"n": True}),
+        # schedules: a non-integral or string depth, strings and booleans for numbers
+        ("solve-gaussian", "solve_gaussian_demo.json",
+         {"sigma": DROP, "alpha": 0.5, "sigma1": 0.5, "d": 2.7}),
+        ("solve-gaussian", "solve_gaussian_demo.json",
+         {"sigma": DROP, "alpha": 0.5, "sigma1": 0.5, "d": "2"}),
+        ("solve-gaussian", "solve_gaussian_demo.json", {"sigma": ["1", "0.5"]}),
+        ("solve-gaussian", "solve_gaussian_demo.json", {"sigma": [1, True]}),
+        ("solve-tabular", "solve_tabular_binary3.json", {"lambda": "1"}),
+        ("solve-tabular", "solve_tabular_binary3.json",
+         {"sigma": DROP, "alpha": False, "sigma1": 0.5, "d": 2}),
+        ("solve-tabular", "solve_tabular_binary3.json",
+         {"sigma": DROP, "alpha": 0.5, "sigma1": "0.5", "d": 2}),
     ],
 )
 def test_config_errors_print_one_prefixed_line(tmp_path, capsys, command, config_name, change):
     cfg = json.loads((CONFIGS / config_name).read_text())
     cfg.update(change)
+    cfg = {key: value for key, value in cfg.items() if value is not DROP}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert run([command, "--config", str(path)]) == cli.EXIT_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""
     assert_one_config_error_line(captured.err)
+
+
+def test_alpha_schedule_config_takes_an_integral_depth(tmp_path):
+    reports = []
+    for depth in (2, 2.0):
+        cfg = json.loads((CONFIGS / "solve_gaussian_demo.json").read_text())
+        del cfg["sigma"]
+        cfg.update(alpha=0.5, sigma1=0.5, d=depth)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out.json"
+        assert run(["solve-gaussian", "--config", str(path), "--out", str(out)]) == cli.EXIT_OK
+        reports.append(json.loads(out.read_text()))
+    assert reports[0]["solution"] == reports[1]["solution"]
+    assert reports[0]["verified"] is True
 
 
 def test_solve_tabular_mt_with_explicit_decimation_chain(tmp_path):

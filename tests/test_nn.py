@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from msgibbs import gaussian as mg
 from msgibbs import nn as mn
 from msgibbs.errors import DimensionMismatch, SpectralNormViolated
+from msgibbs.tolerances import TOL
 
 
 def small_params(rng, m=3, d=2, scale=0.3):
@@ -208,15 +210,72 @@ def test_teacher_student_data():
 
 def test_teacher_student_problem():
     cfg = mn.TeacherStudentConfig(m=3, d=4, teacher_depth=2, n_train=8, seed=5)
-    teacher, energy, prior, part = mn.teacher_student_problem(cfg)
+    teacher, train = mn.teacher_student_problem(cfg)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=5, spawn_key=(0,)))
-    teacher_ref, train, _ = mn.teacher_student_data(cfg, rng)
-    energy_ref = mn.gauss_newton_energy(mn.ResNetParams.zeros(3, 4), train)
+    teacher_ref, train_ref, _ = mn.teacher_student_data(cfg, rng)
     assert np.array_equal(teacher.flat(), teacher_ref.flat())
-    assert np.array_equal(energy.K, energy_ref.K) and np.array_equal(energy.g, energy_ref.g)
-    assert energy.c == energy_ref.c
-    assert part.block_sizes == (9, 9, 9, 9)
-    assert np.array_equal(prior.cov, cfg.prior_variance * np.eye(36))
+    assert np.array_equal(train.xs, train_ref.xs) and np.array_equal(train.ys, train_ref.ys)
+    assert mn.layer_partition(3, 4).block_sizes == (9, 9, 9, 9)
+    assert np.array_equal(mn.iid_gaussian_prior(cfg).cov, cfg.prior_variance * np.eye(36))
+
+
+def dense_teacher_student_posterior(cfg, train, alpha, sigma1, energy=None):
+    """The oracle: the dense multiscale posterior of the zero-weight Gauss-Newton energy."""
+    if energy is None:
+        energy = mn.gauss_newton_energy(mn.ResNetParams.zeros(cfg.m, cfg.d), train)
+    return mn.multiscale_posterior(energy, mn.iid_gaussian_prior(cfg), alpha, sigma1,
+                                   mn.layer_partition(cfg.m, cfg.d))
+
+
+def rel_gap(a, b):
+    return float(np.abs(a - b).max() / np.abs(b).max())
+
+
+#: reduced vs dense posterior for sigma1 >= 1e-6: at prior variance 5e-5 the precisions
+#: have condition <= ~1e3, and both paths round to ~1e-13
+REDUCED_RTOL = 1e-11
+#: at sigma1 = 10^-9.5 the condition is ~1e7 and the dense path's own rounding reaches
+#: ~1e-9, so the paths agree to the refinement-consistency gate of solve-gaussian
+REDUCED_EDGE_RTOL = TOL.refinement_consistency
+
+
+@pytest.mark.parametrize("m, d, n_train", [(3, 3, 10), (10, 4, 30)])
+def test_teacher_student_posterior_matches_dense(m, d, n_train):
+    cfg = mn.TeacherStudentConfig(m=m, d=d, teacher_depth=d // 2, n_train=n_train)
+    _, train, _ = mn.teacher_student_data(cfg, np.random.default_rng(14))
+    energy = mn.gauss_newton_energy(mn.ResNetParams.zeros(m, d), train)
+    for alpha in (0.0, 0.5, 0.999):
+        for sigma1 in (10**-9.5, 1e-6, 10**-2.5):
+            reduced = mn.teacher_student_posterior(cfg, train, alpha, sigma1)
+            dense = dense_teacher_student_posterior(cfg, train, alpha, sigma1, energy)
+            rtol = REDUCED_RTOL if sigma1 >= 1e-6 else REDUCED_EDGE_RTOL
+            for field in ("mean", "cov", "precision"):
+                gap = rel_gap(getattr(reduced, field), getattr(dense, field))
+                assert gap <= rtol, (alpha, sigma1, field, gap)
+    with pytest.raises(DimensionMismatch):
+        mn.teacher_student_posterior(dataclasses.replace(cfg, m=m + 1), train, 0.5, 1e-4)
+
+
+def test_teacher_student_posterior_factors_only_reduced_matrices(monkeypatch):
+    cfg = mn.TeacherStudentConfig(m=4, d=3, teacher_depth=1, n_train=10)
+    _, train = mn.teacher_student_problem(cfg)
+    sizes = []
+    for name in ("cholesky", "inv", "solve", "eigh", "eigvalsh", "svd"):
+        def recorded(a, *args, _name=name, _func=getattr(np.linalg, name), **kwargs):
+            sizes.append((_name, max(np.shape(a))))
+            return _func(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+
+    def dense_energy(*args):
+        raise AssertionError("the reduced path built the dense energy")
+
+    monkeypatch.setattr(mn, "gauss_newton_energy", dense_energy)
+    posterior = mn.teacher_student_posterior(cfg, train, 0.5, 1e-4)
+    mg.sample(posterior, np.random.default_rng(0), size=3)
+    reduced_dim = cfg.d * cfg.m
+    assert any(n == reduced_dim for _, n in sizes)
+    assert [(name, n) for name, n in sizes if n > reduced_dim] == [("cholesky", posterior.dim)]
 
 
 def test_multiscale_posterior_reductions():
