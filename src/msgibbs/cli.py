@@ -12,10 +12,8 @@ of the worker count.
 """
 
 import argparse
-import concurrent.futures
 import contextlib
 import dataclasses
-import functools
 import json
 import math
 import sys
@@ -240,79 +238,52 @@ def _resolve_experiment(cfg, seed_override):
         resolved["seed"] = int(seed_override)
     for key in ("m", "d", "teacher_depth", "n_train", "seed", "n_test", "n_weights"):
         resolved[key] = _integral(resolved[key], f"$.{key}")
+    for key in ("teacher_weight_variance", "prior_variance"):
+        _number(resolved[key], f"$.{key}")
     for key, least in (("n_test", 1), ("n_weights", 1), ("seed", 0)):
         if resolved[key] < least:
             raise ConfigError(f"$.{key}: must be >= {least}")
-    if not resolved["alpha_grid"]:
+    alphas = [_number(a, f"$.alpha_grid[{i}]") for i, a in enumerate(resolved["alpha_grid"])]
+    if not alphas:
         raise ConfigError("$.alpha_grid: grid must be nonempty")
-    if any(not 0.0 <= a <= 0.999 for a in resolved["alpha_grid"]):
+    if any(not 0.0 <= a <= 0.999 for a in alphas):
         raise ConfigError("$.alpha_grid: alphas must be in [0, 0.999]")
     sg = resolved["sigma1_grid"]
     if isinstance(sg, dict):
-        lo = float(_require(sg, "log10_min", "$.sigma1_grid"))
-        hi = float(_require(sg, "log10_max", "$.sigma1_grid"))
+        lo = _number(_require(sg, "log10_min", "$.sigma1_grid"), "$.sigma1_grid.log10_min")
+        hi = _number(_require(sg, "log10_max", "$.sigma1_grid"), "$.sigma1_grid.log10_max")
         pts = _integral(sg.get("points", 29), "$.sigma1_grid.points")
         if pts < 1:
             raise ConfigError("$.sigma1_grid.points: must be >= 1")
         sigma1s = np.logspace(lo, hi, pts)
         resolved["sigma1_grid"] = {"log10_min": lo, "log10_max": hi, "points": pts}
     else:
-        sigma1s = np.asarray([float(s) for s in sg])
+        sigma1s = np.asarray([_number(s, f"$.sigma1_grid[{i}]") for i, s in enumerate(sg)])
     if sigma1s.size == 0 or not np.all(np.isfinite(sigma1s) & (sigma1s > 0.0)):
         raise ConfigError("$.sigma1_grid: need finite, positive values")
-    # output rows (and per-point seeds) follow the sorted grid order
-    alphas = sorted(float(a) for a in resolved["alpha_grid"])
-    return resolved, alphas, np.sort(sigma1s)
-
-
-def _teacher_student_config(resolved):
-    # every field is an int or a float; coerce the JSON value to the annotated type
-    fields = dataclasses.fields(mn.TeacherStudentConfig)
-    return mn.TeacherStudentConfig(**{f.name: f.type(resolved[f.name]) for f in fields})
-
-
-@functools.lru_cache(maxsize=1)
-def _experiment_setup(resolved_json):
-    """Config, teacher, training set, n_test and n_weights, cached per process."""
-    resolved = json.loads(resolved_json)
-    cfg = _teacher_student_config(resolved)
-    problem = mn.teacher_student_problem(cfg)
-    return (cfg, *problem, resolved["n_test"], resolved["n_weights"])
-
-
-def _experiment_point(task):
-    resolved_json, index, alpha, sigma1 = task
-    cfg, teacher, train, n_test, n_weights = _experiment_setup(resolved_json)
-    posterior = mn.teacher_student_posterior(cfg, train, alpha, sigma1)
-    seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1, index))
-    risk, stderr = mn.population_risk_mc(posterior, teacher, cfg, n_test, n_weights, seed)
-    return index, alpha, sigma1, risk, stderr
+    return resolved, alphas, sigma1s
 
 
 def cmd_experiment(args):
     cfg = _load_config(args.config)
     with _config_phase():
         resolved, alphas, sigma1s = _resolve_experiment(cfg, args.seed)
-        _teacher_student_config(resolved)
-    resolved_json = json.dumps(resolved, sort_keys=True)
-    grid = [(alpha, float(sigma1)) for alpha in alphas for sigma1 in sigma1s]
-    tasks = [(resolved_json, index, *point) for index, point in enumerate(grid)]
-    if args.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(_experiment_point, tasks, chunksize=4))
-    else:
-        rows = [_experiment_point(t) for t in tasks]
+        # every field is an int or a float; coerce the JSON value to the annotated type
+        fields = dataclasses.fields(mn.TeacherStudentConfig)
+        ts_cfg = mn.TeacherStudentConfig(**{f.name: f.type(resolved[f.name]) for f in fields})
+        if args.workers < 1:
+            raise ConfigError(f"--workers: must be >= 1, got {args.workers}")
+    rows = mn.teacher_student_sweep(
+        ts_cfg, alphas, sigma1s, resolved["n_test"], resolved["n_weights"], args.workers
+    )
 
-    header = [f"# msgibbs {__version__}", f"# config: {resolved_json}"]
-    lines = header + ["alpha,sigma1,risk,risk_stderr"]
-    lines += [_csv_line(*row[1:]) for row in rows]
+    header = [f"# msgibbs {__version__}", f"# config: {json.dumps(resolved, sort_keys=True)}"]
+    lines = header + ["alpha,sigma1,risk,risk_stderr"] + [_csv_line(*row) for row in rows]
     out_text = "\n".join(lines) + "\n"
-
-    summary_lines = header + ["alpha,min_risk,argmin_sigma1,risk_stderr"]
-    for alpha in alphas:
-        # the first grid point of least risk, as the rows run in grid order
-        _, _, sigma1, risk, stderr = min((r for r in rows if r[1] == alpha), key=lambda r: r[3])
-        summary_lines.append(_csv_line(alpha, risk, sigma1, stderr))
+    summary_lines = header + ["alpha,min_risk,argmin_sigma1,risk_stderr"] + [
+        _csv_line(alpha, risk, sigma1, stderr)
+        for alpha, sigma1, risk, stderr in mn.min_risk_per_alpha(rows)
+    ]
     summary_text = "\n".join(summary_lines) + "\n"
 
     if args.out is None:

@@ -11,8 +11,13 @@ The teacher-student posterior has an exact reduced form
 zero-mean prior and the layer partition, the Gauss-Newton curvature is
 ``11' (x) I_m (x) S`` and the dim-d*m^2 solve splits into one dim-d*m solve.
 :func:`multiscale_posterior` on the dense energy is its oracle.
+
+:func:`teacher_student_sweep` estimates its risk over an alpha x sigma1 grid;
+point i of the sorted grid draws from ``SeedSequence(seed, spawn_key=(1, i))``.
 """
 
+import concurrent.futures  # loads the process pool and multiprocessing on first use
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,6 +51,8 @@ __all__ = [
     "teacher_student_data",
     "teacher_student_problem",
     "population_risk_mc",
+    "teacher_student_sweep",
+    "min_risk_per_alpha",
     "layer_partition",
     "iid_gaussian_prior",
     "scale_to_spectral_norm",
@@ -398,3 +405,38 @@ def population_risk_mc(posterior, teacher, cfg, n_test, n_weights, seed):
     estimate = float(risks.mean())
     stderr = float(risks.std(ddof=1) / math.sqrt(n_weights)) if n_weights > 1 else 0.0
     return estimate, stderr
+
+
+def _sweep_point(cfg, teacher, train, n_test, n_weights, index, point):
+    posterior = teacher_student_posterior(cfg, train, *point)
+    seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1, index))
+    return population_risk_mc(posterior, teacher, cfg, n_test, n_weights, seed)
+
+
+def teacher_student_sweep(cfg, alphas, sigma1s, n_test, n_weights, workers=1):
+    """Rows ``(alpha, sigma1, risk, stderr)`` of :func:`population_risk_mc` for
+    :func:`teacher_student_posterior` over the sorted grid, alpha-major.
+
+    Point ``i`` draws from ``SeedSequence(cfg.seed, spawn_key=(1, i))``, so the
+    rows do not depend on ``workers``.  The pool forks at most one process per
+    chunk of 4 points and is shut down before the call returns.
+    """
+    teacher, train = teacher_student_problem(cfg)
+    grid = [(a, s) for a in sorted(map(float, alphas)) for s in sorted(map(float, sigma1s))]
+    run = functools.partial(_sweep_point, cfg, teacher, train, n_test, n_weights)
+    workers = min(workers, -(-len(grid) // 4))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            risks = list(pool.map(run, range(len(grid)), grid, chunksize=4))
+    else:
+        risks = map(run, range(len(grid)), grid)
+    return [(*point, *risk) for point, risk in zip(grid, risks)]
+
+
+def min_risk_per_alpha(rows):
+    """For each alpha, in row order, the first sweep row of least risk."""
+    best = {}
+    for row in rows:
+        if row[0] not in best or row[2] < best[row[0]][2]:
+            best[row[0]] = row
+    return list(best.values())

@@ -332,20 +332,10 @@ def _min_over_sigma1(prior_variance):
         prior_variance=prior_variance,
         seed=0,
     )
-    teacher, train = mn.teacher_student_problem(cfg)
     alphas = [0.0, 0.2, 0.4, 0.5, 0.6, 0.8, 0.999]
     sigma1s = np.logspace(-9.5, -2.5, 15)
-    curve = {}
-    for alpha in alphas:
-        best = None
-        for idx, sigma1 in enumerate(sigma1s):
-            posterior = mn.teacher_student_posterior(cfg, train, alpha, float(sigma1))
-            seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1, idx))
-            risk, stderr = mn.population_risk_mc(posterior, teacher, cfg, 2000, 200, seed)
-            if best is None or risk < best[0]:
-                best = (risk, stderr)
-        curve[alpha] = best
-    return curve
+    rows = mn.teacher_student_sweep(cfg, alphas, sigma1s, 2000, 200)
+    return {alpha: (risk, stderr) for alpha, _, risk, stderr in mn.min_risk_per_alpha(rows)}
 
 
 @pytest.mark.parametrize("prior_variance", [5e-5, 5e-4])

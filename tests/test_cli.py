@@ -196,6 +196,41 @@ def test_experiment_alpha_zero_reduces_to_single_scale(tmp_path):
     assert ref["alpha_grid"][0] == 0.0
 
 
+def test_experiment_matches_golden(tmp_path):
+    # pins the seeding contract: point i of the sorted grid draws from spawn_key (1, i)
+    out = tmp_path / "smoke.csv"
+    assert run(["experiment", "--config", str(CONFIGS / "experiment_smoke.json"),
+                "--out", str(out)]) == cli.EXIT_OK
+    for produced, golden in ((out, "experiment_smoke.csv"),
+                             (tmp_path / "smoke_summary.csv", "experiment_smoke_summary.csv")):
+        got = produced.read_text().splitlines()
+        want = (GOLDEN / golden).read_text().splitlines()
+        # two provenance lines and the column names, exactly
+        assert got[:3] == want[:3] and len(got) == len(want)
+        values = [[float(x) for x in line.split(",")] for line in got[3:]]
+        expected = [[float(x) for x in line.split(",")] for line in want[3:]]
+        np.testing.assert_allclose(values, expected, rtol=1e-8, atol=0.0)
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_experiment_workers_below_one_is_a_config_error(capsys, workers):
+    cfg = str(CONFIGS / "experiment_smoke.json")
+    assert run(["experiment", "--config", cfg, "--workers", workers]) == cli.EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_config_error_line(captured.err)
+
+
+def test_experiment_pool_forks_at_most_one_process_per_chunk(tmp_path, pool_sizes):
+    cfg = str(CONFIGS / "experiment_smoke.json")
+    for workers in ("1", "8"):
+        out = tmp_path / f"w{workers}.csv"
+        assert run(["experiment", "--config", cfg, "--out", str(out), "--workers", workers]) == 0
+    # 12 grid points in chunks of 4
+    assert pool_sizes == [3]
+    assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w8.csv").read_bytes()
+
+
 def test_bounds_dirac_report(tmp_path):
     out = tmp_path / "bounds.json"
     code = run(
@@ -316,6 +351,14 @@ def assert_one_config_error_line(err):
         ("experiment", "experiment_smoke.json", {"sigma1_grid": [1e-4, math.inf]}),
         ("experiment", "experiment_smoke.json",
          {"sigma1_grid": {"log10_min": math.nan, "log10_max": -3.0, "points": 2}}),
+        # experiment numbers: strings and booleans are not JSON numbers
+        ("experiment", "experiment_smoke.json", {"sigma1_grid": ["1e-4", "1e-3"]}),
+        ("experiment", "experiment_smoke.json", {"sigma1_grid": [True, 1e-3]}),
+        ("experiment", "experiment_smoke.json",
+         {"sigma1_grid": {"log10_min": "-6", "log10_max": -3.0, "points": 4}}),
+        ("experiment", "experiment_smoke.json", {"alpha_grid": [False, 0.5]}),
+        ("experiment", "experiment_smoke.json", {"prior_variance": "5e-4"}),
+        ("experiment", "experiment_smoke.json", {"teacher_weight_variance": True}),
         # bounds: a non-integral sample count and a boolean one
         ("bounds", "bounds_gaussian_demo.json", {"n": 30.7}),
         ("bounds", "bounds_gaussian_demo.json", {"n": True}),

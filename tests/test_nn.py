@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -332,6 +333,53 @@ def test_population_risk_mc():
         mn.population_risk_mc(point, teacher,
                               mn.TeacherStudentConfig(m=2, d=3, teacher_depth=1,
                                                       n_train=8), 10, 5, 0)
+
+
+SWEEP_CFG = mn.TeacherStudentConfig(m=3, d=3, teacher_depth=1, n_train=8, seed=4)
+#: unsorted on purpose: 3 x 5 = 15 points, 4 chunks of the pool
+SWEEP_ALPHAS = [0.5, 0.0, 0.999]
+SWEEP_SIGMA1S = [1e-3, 1e-6, 1e-2, 1e-4, 1e-5]
+
+
+def sweep(workers=1):
+    return mn.teacher_student_sweep(SWEEP_CFG, SWEEP_ALPHAS, SWEEP_SIGMA1S, 100, 10, workers)
+
+
+def test_teacher_student_sweep_rows_follow_the_sorted_grid_and_the_seed_contract():
+    rows = sweep()
+    grid = [(a, s) for a in sorted(SWEEP_ALPHAS) for s in sorted(SWEEP_SIGMA1S)]
+    assert [row[:2] for row in rows] == grid
+    teacher, train = mn.teacher_student_problem(SWEEP_CFG)
+    for i in (0, 7, 14):
+        posterior = mn.teacher_student_posterior(SWEEP_CFG, train, *grid[i])
+        seed = np.random.SeedSequence(SWEEP_CFG.seed, spawn_key=(1, i))
+        direct = mn.population_risk_mc(posterior, teacher, SWEEP_CFG, 100, 10, seed)
+        assert rows[i][2:] == direct
+
+
+def test_teacher_student_sweep_pool_rows_equal_serial_rows():
+    assert sweep(workers=2) == sweep()
+    assert multiprocessing.active_children() == []
+
+
+def test_teacher_student_sweep_forks_at_most_one_process_per_chunk(pool_sizes):
+    rows = sweep()
+    assert sweep(workers=8) == rows and pool_sizes == [4]
+    assert sweep(workers=3) == rows and pool_sizes == [4, 3]
+    # a grid of one chunk runs without a pool
+    mn.teacher_student_sweep(SWEEP_CFG, [0.0], SWEEP_SIGMA1S[:4], 100, 10, workers=8)
+    assert pool_sizes == [4, 3]
+
+
+def test_min_risk_per_alpha_keeps_the_first_of_tied_minima():
+    rows = [
+        (0.0, 1e-6, 0.3, 0.01),
+        (0.0, 1e-5, 0.2, 0.02),
+        (0.0, 1e-4, 0.2, 0.03),
+        (0.5, 1e-6, 0.1, 0.04),
+        (0.5, 1e-5, 0.1, 0.05),
+    ]
+    assert mn.min_risk_per_alpha(rows) == [rows[1], rows[3]]
 
 
 def test_net_shape_and_dataset_json():
