@@ -29,7 +29,6 @@ __all__ = [
     "excess_risk_single",
     "excess_risk_multiscale",
     "generalization_bound_value",
-    "bound_with_gamma",
     "teacher_student_dpg_sum",
     "bound_report",
 ]
@@ -37,21 +36,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BoundConfig:
-    """Input-norm bound R, sample count n, depth d, optional fixed gamma."""
+    """Input-norm bound R, sample count n, depth d."""
 
     R: float
     n: int
     d: int
-    gamma: tuple = None
 
     def __post_init__(self):
         if not (self.R > 0.0 and self.n > 0 and self.d > 0):
             raise ValueError("R, n and d must be positive")
-        if self.gamma is not None:
-            gamma = tuple(float(g) for g in self.gamma)
-            if len(gamma) != self.d or any(g <= 0.0 for g in gamma):
-                raise ValueError("gamma must be d positive reals")
-            object.__setattr__(self, "gamma", gamma)
 
     @property
     def C(self):
@@ -154,18 +147,6 @@ def generalization_bound_value(mi_terms, cfg):
     if np.any(terms < 0.0):
         raise NegativeDivergenceInput("divergence terms must be >= 0")
     return cfg.C / (cfg.d * math.sqrt(cfg.n)) * float(np.sqrt(terms).sum())
-
-
-def bound_with_gamma(mi_terms, cfg):
-    """Unoptimized form (C / (d sqrt(n))) sum (gamma_i D_i + 1/(4 gamma_i))."""
-    if cfg.gamma is None:
-        raise ValueError("config carries no gamma vector")
-    terms = np.asarray(mi_terms, dtype=float)
-    if np.any(terms < 0.0):
-        raise NegativeDivergenceInput("divergence terms must be >= 0")
-    gamma = np.asarray(cfg.gamma)
-    total = float((gamma * terms + 0.25 / gamma).sum())
-    return cfg.C / (cfg.d * math.sqrt(cfg.n)) * total
 
 
 def teacher_student_dpg_sum(d, M, log_inv_q2):

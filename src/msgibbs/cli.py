@@ -115,7 +115,7 @@ def _schedule_from(cfg, path="$"):
 def cmd_solve_tabular(args):
     cfg = _load_config(args.config)
     with _config_phase():
-        space = mt.ProductSpace(tuple(_require(cfg, "axis_sizes")))
+        space = mt.ProductSpace(_sizes(_require(cfg, "axis_sizes"), "$.axis_sizes"))
         energy = mt.EnergyTable(space, _require(cfg, "energy"))
         algorithm = _require(cfg, "algorithm")
         if algorithm not in ("max-entropy", "min-rel-entropy", "mt"):
@@ -164,7 +164,8 @@ def cmd_solve_gaussian(args):
     cfg = _load_config(args.config)
     with _config_phase():
         prior_cfg = _require(cfg, "prior")
-        partition = mg.BlockPartition(tuple(_require(prior_cfg, "block_sizes", "$.prior")))
+        block_sizes = _require(prior_cfg, "block_sizes", "$.prior")
+        partition = mg.BlockPartition(_sizes(block_sizes, "$.prior.block_sizes"))
         prior = mg.GaussianDist.from_json(prior_cfg)
         dim = prior.dim
         if partition.total_dim != dim:
@@ -173,7 +174,7 @@ def cmd_solve_gaussian(args):
         energy = mg.QuadraticEnergy(
             np.reshape(_require(energy_cfg, "K", "$.energy"), (dim, dim)),
             energy_cfg.get("g", np.zeros(dim)),
-            energy_cfg.get("c", 0.0),
+            _number(energy_cfg.get("c", 0.0), "$.energy.c"),
         )
         algorithm = cfg.get("algorithm", "mt")
         if algorithm not in ("max-entropy", "min-rel-entropy", "mt"):
@@ -230,6 +231,11 @@ def _number(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: must be a number, got {value!r}")
     return float(value)
+
+
+def _sizes(values, path):
+    """A JSON list of integral sizes, as a tuple of ints."""
+    return tuple(_integral(v, f"{path}[{i}]") for i, v in enumerate(values))
 
 
 def _resolve_experiment(cfg, seed_override):
@@ -302,38 +308,41 @@ def cmd_bounds(args):
     with _config_phase():
         kind = _require(cfg, "kind")
         bc = mb.BoundConfig(
-            R=float(_require(cfg, "R")),
+            R=_number(_require(cfg, "R"), "$.R"),
             n=_integral(_require(cfg, "n"), "$.n"),
             d=_integral(_require(cfg, "d"), "$.d"),
         )
+        teacher_student = None
         if kind == "dirac":
             if "log_inv_q" in cfg and "teacher_student" in cfg:
                 raise ConfigError(
                     "$: a dirac reference takes 'log_inv_q' or 'teacher_student', not both"
                 )
             if "log_inv_q" in cfg:
-                qhat = mb.DiracReference(tuple(cfg["log_inv_q"]))
+                log_inv_q = cfg["log_inv_q"]
+                qhat = mb.DiracReference(
+                    tuple(_number(v, f"$.log_inv_q[{i}]") for i, v in enumerate(log_inv_q))
+                )
             else:
+                path = "$.teacher_student"
                 ts = _require(cfg, "teacher_student")
-                with _config_phase("$.teacher_student"):
-                    qhat = mb.DiracReference.teacher_student(
-                        bc.d,
-                        float(_require(ts, "M", "$.teacher_student")),
-                        float(_require(ts, "log_inv_q2", "$.teacher_student")),
-                        float(ts.get("log_inv_q1", 0.0)),
-                    )
+                teacher_student = (
+                    _number(_require(ts, "M", path), f"{path}.M"),
+                    _number(_require(ts, "log_inv_q2", path), f"{path}.log_inv_q2"),
+                )
+                log_inv_q1 = _number(ts.get("log_inv_q1", 0.0), f"{path}.log_inv_q1")
+                with _config_phase(path):
+                    qhat = mb.DiracReference.teacher_student(bc.d, *teacher_student, log_inv_q1)
             prior = partition = None
         elif kind == "gaussian":
             qhat = mg.GaussianDist.from_json(_require(cfg, "qhat"))
             prior = mg.GaussianDist.from_json(_require(cfg, "prior"))
-            partition = mg.BlockPartition(tuple(_require(cfg, "block_sizes")))
+            partition = mg.BlockPartition(_sizes(_require(cfg, "block_sizes"), "$.block_sizes"))
         else:
             raise ConfigError(f"$.kind: unknown {kind!r}")
         report = mb.bound_report(qhat, prior, bc, partition)
-        if kind == "dirac" and "teacher_student" in cfg:
-            ts = cfg["teacher_student"]
-            m_ratio, log_inv_q2 = float(ts["M"]), float(ts["log_inv_q2"])
-            exact, approx = mb.teacher_student_dpg_sum(bc.d, m_ratio, log_inv_q2)
+        if teacher_student is not None:
+            exact, approx = mb.teacher_student_dpg_sum(bc.d, *teacher_student)
             report["teacher_student_dpg_sum"] = {"exact": exact, "approx": approx}
     return _write_report(args, cfg, report)
 

@@ -185,7 +185,11 @@ class GaussianConditional:
 
 @dataclass(frozen=True)
 class QuadraticEnergy:
-    """Quadratic energy ``f(w) = c + g.w + 0.5 w'Kw`` with K symmetric PSD."""
+    """Quadratic energy ``f(w) = c + g.w + 0.5 w'Kw`` with K symmetric PSD.
+
+    Eigenvalues of K down to ``-TOL.energy_eigenvalue_floor`` are accepted as
+    rounding, and K is kept as given (symmetrized).
+    """
 
     K: np.ndarray
     g: np.ndarray
@@ -199,10 +203,6 @@ class QuadraticEnergy:
         eigmin = float(np.linalg.eigvalsh(K).min())
         if eigmin < -TOL.energy_eigenvalue_floor:
             raise ValueError(f"K has eigenvalue {eigmin!r} below -{TOL.energy_eigenvalue_floor}")
-        if eigmin < 0.0:
-            vals, vecs = np.linalg.eigh(K)
-            K = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
-            K = 0.5 * (K + K.T)
         K.setflags(write=False)
         g.setflags(write=False)
         object.__setattr__(self, "K", K)

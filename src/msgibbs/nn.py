@@ -35,10 +35,8 @@ from .multiscale import GaussianBackend, alpha_schedule, solve_mt
 from .tolerances import TOL
 
 __all__ = [
-    "NetShape",
     "ResNetParams",
     "Dataset",
-    "QuadraticEnergy",
     "TeacherStudentConfig",
     "forward",
     "forward_batch",
@@ -57,19 +55,6 @@ __all__ = [
     "iid_gaussian_prior",
     "scale_to_spectral_norm",
 ]
-
-
-@dataclass(frozen=True)
-class NetShape:
-    """Width, depth, and the input-norm bound used by the risk bounds."""
-
-    m: int
-    d: int
-    R: float = 1.0
-
-    def __post_init__(self):
-        if self.m < 1 or self.d < 1 or not self.R > 0.0:
-            raise ValueError(f"invalid net shape m={self.m} d={self.d} R={self.R}")
 
 
 class ResNetParams:
@@ -117,13 +102,6 @@ class ResNetParams:
     def spectral_norms(self):
         return np.array([np.linalg.norm(w, 2) for w in self.layers])
 
-    def to_json(self):
-        return {"m": self.m, "d": self.d, "flat": self.flat().tolist()}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls.from_flat(np.asarray(obj["flat"]), int(obj["m"]), int(obj["d"]))
-
 
 def scale_to_spectral_norm(params, target):
     """Rescale every layer to spectral norm exactly ``target`` (zero layers stay)."""
@@ -153,13 +131,6 @@ class Dataset:
     def n(self):
         return self.xs.shape[0]
 
-    def to_json(self):
-        return {"xs": self.xs.tolist(), "ys": self.ys.tolist()}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(np.asarray(obj["xs"]), np.asarray(obj["ys"]))
-
 
 @dataclass(frozen=True)
 class TeacherStudentConfig:
@@ -182,11 +153,6 @@ class TeacherStudentConfig:
             )
         if not (self.teacher_weight_variance > 0.0 and self.prior_variance > 0.0):
             raise ValueError("variances must be positive")
-
-    @property
-    def depth_ratio(self):
-        """The ratio M = d / teacher_depth (> 1)."""
-        return self.d / self.teacher_depth
 
 
 def forward(params, x):

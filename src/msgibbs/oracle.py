@@ -23,7 +23,6 @@ class OracleSettings:
     step_size: float = 0.1
     convergence_tol: float = 1e-13
     grid_points: int = 2001
-    grid_radius_sigmas: float = 6.0
 
     def __post_init__(self):
         if (
@@ -31,7 +30,6 @@ class OracleSettings:
             or self.step_size <= 0.0
             or self.convergence_tol <= 0.0
             or self.grid_points <= 1
-            or self.grid_radius_sigmas <= 0.0
         ):
             raise ValueError("oracle settings must all be positive")
 
@@ -201,11 +199,3 @@ def quadrature_density_moments(log_density, lower, upper, settings=None):
     cov = np.einsum("n,ni,nj->ij", wv, delta, delta) / mass
     return QuadratureResult(mean, 0.5 * (cov + cov.T), math.log(mass) + peak)
 
-
-def gaussian_grid_bounds(g, settings=None):
-    """Box of +- grid_radius_sigmas standard deviations around the mean."""
-    if settings is None:
-        settings = DEFAULT_SETTINGS
-    sd = np.sqrt(np.diag(g.cov))
-    r = settings.grid_radius_sigmas
-    return g.mean - r * sd, g.mean + r * sd

@@ -100,10 +100,6 @@ class TabularDist:
     def to_json(self):
         return {"axis_sizes": list(self.space.axis_sizes), "probs": self.probs.tolist()}
 
-    @classmethod
-    def from_json(cls, obj):
-        return cls(ProductSpace(tuple(obj["axis_sizes"])), np.asarray(obj["probs"]))
-
     def __repr__(self):
         return f"TabularDist(axes={self.space.axis_sizes}, size={self.space.size})"
 
@@ -123,13 +119,6 @@ class EnergyTable:
             raise ValueError("energy values must be finite")
         self.space = space
         self.values = values
-
-    def to_json(self):
-        return {"axis_sizes": list(self.space.axis_sizes), "values": self.values.tolist()}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(ProductSpace(tuple(obj["axis_sizes"])), np.asarray(obj["values"]))
 
 
 class ScaleMap:
@@ -155,17 +144,6 @@ class ScaleMap:
         target = source.drop_last_axis()
         last = source.axis_sizes[-1]
         return cls(source, target, np.arange(source.size) // last)
-
-    @classmethod
-    def identity(cls, space):
-        return cls(space, space, np.arange(space.size))
-
-    def to_json(self):
-        return {
-            "source_axis_sizes": list(self.source.axis_sizes),
-            "target_axis_sizes": list(self.target.axis_sizes),
-            "map": self.map.tolist(),
-        }
 
     @classmethod
     def from_json(cls, obj):

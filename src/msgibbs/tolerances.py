@@ -21,8 +21,8 @@ class Tolerances:
     # boundary density relative to peak accepted by the quadrature oracle
     # (a 6-sigma Gaussian grid has boundary ratio exp(-18) ~ 1.5e-8)
     quadrature_boundary: float = 1e-7
-    # QuadraticEnergy: the symmetry tolerance for K, and the eigenvalues of K
-    # down to minus the floor are clipped to zero
+    # QuadraticEnergy: the symmetry tolerance for K; eigenvalues of K down to
+    # minus the floor are accepted as rounding and K is kept as given
     energy_symmetry: float = 1e-8
     energy_eigenvalue_floor: float = 1e-8
     # simplex oracle: an objective rise up to the slack is not an ascent; marginals

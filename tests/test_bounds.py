@@ -20,8 +20,6 @@ def test_bound_config():
     assert cfg2.C == pytest.approx(2.0 * (2.0 * math.e) ** 2)
     with pytest.raises(ValueError):
         mb.BoundConfig(R=-1.0, n=30, d=4)
-    with pytest.raises(ValueError):
-        mb.BoundConfig(R=1.0, n=30, d=2, gamma=(1.0,))
 
 
 def test_dirac_reference():
@@ -144,10 +142,6 @@ def test_generalization_bound_value():
         ]))
     )
     assert abs(closed - brute) < 1e-6
-    # unoptimized form at gamma*
-    gammas = tuple(mb.gamma_star(t) for t in terms)
-    cfg_g = mb.BoundConfig(R=1.0, n=30, d=4, gamma=gammas)
-    assert mb.bound_with_gamma(terms, cfg_g) == pytest.approx(closed)
 
 
 def test_teacher_student_dpg_sum():

@@ -35,6 +35,42 @@ def test_solve_tabular_golden(tmp_path):
     assert report["version"] == "0.1.0"
 
 
+def _assert_report_matches(got, want, path="$"):
+    """Keys and strings equal; floats equal within a relative 1e-10.
+
+    pytest.approx's absolute 1e-12 also holds, so a rounding-level residual such
+    as a 1e-16 refinement gap may differ between BLAS builds.
+    """
+    assert type(got) is type(want), path
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), path
+        for key in want:
+            _assert_report_matches(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_report_matches(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=1e-10), path
+    else:
+        assert got == want, path
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        ("solve-gaussian", "solve_gaussian_demo.json"),
+        ("bounds", "bounds_gaussian_demo.json"),
+        ("bounds", "bounds_teacher_student.json"),
+    ],
+)
+def test_shipped_reports_match_golden(tmp_path, command, name):
+    out = tmp_path / name
+    assert run([command, "--config", str(CONFIGS / name), "--out", str(out)]) == cli.EXIT_OK
+    want = json.loads((GOLDEN / name).read_text())
+    _assert_report_matches(json.loads(out.read_text()), want)
+
+
 def test_solve_tabular_single_scale_equals_gibbs(tmp_path):
     cfg = {
         "axis_sizes": [2, 2],
@@ -374,6 +410,27 @@ def assert_one_config_error_line(err):
          {"sigma": DROP, "alpha": False, "sigma1": 0.5, "d": 2}),
         ("solve-tabular", "solve_tabular_binary3.json",
          {"sigma": DROP, "alpha": 0.5, "sigma1": "0.5", "d": 2}),
+        # sizes: non-integral and boolean entries are not sizes
+        ("solve-tabular", "solve_tabular_binary3.json", {"axis_sizes": [2, 2, 2.9]}),
+        ("solve-tabular", "solve_tabular_binary3.json", {"axis_sizes": [2, 2, 2, True]}),
+        ("solve-gaussian", "solve_gaussian_demo.json",
+         {"prior": {"mean": [0.0, 0.0, 0.0], "cov": [0.5, 0.1, 0.0, 0.1, 0.4, 0.05,
+                                                     0.0, 0.05, 0.6], "block_sizes": [1.9, 2]}}),
+        ("bounds", "bounds_gaussian_demo.json", {"block_sizes": [1.5, 1]}),
+        # scalars: strings and booleans are not numbers
+        ("bounds", "bounds_gaussian_demo.json", {"R": True}),
+        ("bounds", "bounds_teacher_student.json", {"R": "2"}),
+        ("bounds", "bounds_teacher_student.json",
+         {"teacher_student": {"M": "2", "log_inv_q2": 1.0, "log_inv_q1": 0.0}}),
+        ("bounds", "bounds_teacher_student.json",
+         {"teacher_student": {"M": 2.0, "log_inv_q2": True, "log_inv_q1": 0.0}}),
+        ("bounds", "bounds_teacher_student.json",
+         {"teacher_student": {"M": 2.0, "log_inv_q2": 1.0, "log_inv_q1": "0"}}),
+        ("bounds", "bounds_teacher_student.json",
+         {"teacher_student": DROP, "log_inv_q": ["0.5", 1, 1, 1]}),
+        ("solve-gaussian", "solve_gaussian_demo.json",
+         {"energy": {"K": [2.0, 0.3, 0.1, 0.3, 1.5, 0.0, 0.1, 0.0, 1.0],
+                     "g": [0.2, -0.1, 0.4], "c": "3"}}),
     ],
 )
 def test_config_errors_print_one_prefixed_line(tmp_path, capsys, command, config_name, change):

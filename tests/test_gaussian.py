@@ -364,6 +364,10 @@ def test_quadratic_energy_validation():
         mg.QuadraticEnergy([[0.0, 1.0], [0.0, 0.0]], [0.0, 0.0])  # asymmetric
     with pytest.raises(ValueError):
         mg.QuadraticEnergy([[-1.0]], [0.0])  # negative eigenvalue
+    # an eigenvalue just below zero, inside the floor, is rounding: K is kept as given
+    near = np.array([[1.0, 1.0 + 1e-12], [1.0 + 1e-12, 1.0]])
+    assert -TOL.energy_eigenvalue_floor < np.linalg.eigvalsh(near).min() < 0.0
+    assert np.array_equal(mg.QuadraticEnergy(near, [0.0, 0.0]).K, 0.5 * (near + near.T))
     en = mg.QuadraticEnergy([[2.0, 0.0], [0.0, 1.0]], [1.0, -1.0], 0.5)
     w = np.array([0.5, 2.0])
     assert en.value(w) == pytest.approx(0.5 + 0.5 - 2.0 + 0.5 * (0.5 + 4.0))

@@ -285,7 +285,9 @@ def test_is_decimation_derived_from_chain():
     gibbs = mt.gibbs(f, q, 1.0)
     built = ms.TabularBackend.decimation(space, 3)
     # the same maps given explicitly (as a JSON config gives them) are decimation too
-    explicit = ms.TabularBackend([mt.ScaleMap.from_json(t.to_json()) for t in built.chain])
+    explicit = ms.TabularBackend(
+        [mt.ScaleMap(t.source, t.target, t.map.tolist()) for t in built.chain]
+    )
     assert built.is_decimation and explicit.is_decimation
     assert ms.TabularBackend([]).is_decimation
     expected = ms.solve_mt(gibbs, q, sched, built)

@@ -189,7 +189,6 @@ def test_teacher_student_data():
     rng = np.random.default_rng(9)
     cfg = mn.TeacherStudentConfig(m=4, d=4, teacher_depth=2, n_train=12)
     teacher, train, make_test = mn.teacher_student_data(cfg, rng)
-    assert cfg.depth_ratio == pytest.approx(2.0)
     # leading layers are zero (identity mappings)
     for w in teacher.layers[:2]:
         assert np.array_equal(w, np.zeros((4, 4)))
@@ -382,20 +381,6 @@ def test_min_risk_per_alpha_keeps_the_first_of_tied_minima():
     assert mn.min_risk_per_alpha(rows) == [rows[1], rows[3]]
 
 
-def test_net_shape_and_dataset_json():
-    with pytest.raises(ValueError):
-        mn.NetShape(m=0, d=2)
-    with pytest.raises(ValueError):
-        mn.NetShape(m=2, d=2, R=0.0)
-    shape = mn.NetShape(m=10, d=4, R=1.0)
-    assert (shape.m, shape.d, shape.R) == (10, 4, 1.0)
-    rng = np.random.default_rng(14)
-    data = mn.Dataset(rng.standard_normal((5, 3)), rng.standard_normal((5, 3)))
-    back = mn.Dataset.from_json(data.to_json())
-    assert np.array_equal(back.xs, data.xs)
-    assert np.array_equal(back.ys, data.ys)
-
-
 def test_flatten_round_trip():
     rng = np.random.default_rng(13)
     params = small_params(rng, 3, 4)
@@ -407,5 +392,3 @@ def test_flatten_round_trip():
     assert flat[0] == params.layers[0][0, 0]
     assert flat[3] == params.layers[0][1, 0]
     assert flat[9] == params.layers[1][0, 0]
-    p2 = mn.ResNetParams.from_json(params.to_json())
-    assert np.array_equal(p2.flat(), flat)

@@ -158,15 +158,6 @@ def test_quadrature_mass_leakage():
         mo.quadrature_density_moments(log_density, [-3.0], [3.0])
 
 
-def test_gaussian_grid_bounds():
-    from msgibbs import gaussian as mg
-
-    g = mg.GaussianDist([1.0, -1.0], np.diag([4.0, 0.25]))
-    lo, hi = mo.gaussian_grid_bounds(g)
-    assert np.allclose(lo, [1.0 - 12.0, -1.0 - 3.0])
-    assert np.allclose(hi, [1.0 + 12.0, -1.0 + 3.0])
-
-
 def test_step_size_collapse_is_reported():
     # energies of order 1e7 make every step an ascent until the step collapses
     space = mt.ProductSpace((4, 4))

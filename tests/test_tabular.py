@@ -143,7 +143,7 @@ def test_pushforward():
     rng = np.random.default_rng(3)
     s = mt.ProductSpace((2, 2))
     p = random_dist(s, rng)
-    ident = mt.ScaleMap.identity(s)
+    ident = mt.ScaleMap(s, s, np.arange(s.size))
     assert np.allclose(mt.pushforward(p, ident).probs, p.probs)
     # marginal of an independent product is the first factor
     p1 = np.array([0.3, 0.7])
@@ -186,7 +186,7 @@ def test_reverse_conditional_and_refine():
     assert np.allclose(pr1, [1.0, 0.0])
 
     # identity map: every defined row is a point mass
-    ident = mt.reverse_conditional(p, mt.ScaleMap.identity(s4))
+    ident = mt.reverse_conditional(p, mt.ScaleMap(s4, s4, np.arange(s4.size)))
     for j, row in enumerate(ident.rows):
         if p.probs[j] > 0:
             assert row is not None and np.allclose(row[1], [1.0])
@@ -419,13 +419,11 @@ def test_json_round_trip():
     rng = np.random.default_rng(41)
     space = mt.ProductSpace((2, 3))
     p = random_dist(space, rng)
-    p2 = mt.TabularDist.from_json(p.to_json())
-    assert p2.space.axis_sizes == p.space.axis_sizes
-    assert np.array_equal(p2.probs, p.probs)
-    f = mt.EnergyTable(space, rng.standard_normal(space.size))
-    f2 = mt.EnergyTable.from_json(f.to_json())
-    assert np.array_equal(f2.values, f.values)
+    assert p.to_json() == {"axis_sizes": [2, 3], "probs": p.probs.tolist()}
     t = mt.ScaleMap.decimation(space)
-    t2 = mt.ScaleMap.from_json(t.to_json())
+    t2 = mt.ScaleMap.from_json(
+        {"source_axis_sizes": [2, 3], "target_axis_sizes": [2], "map": [0, 0, 0, 1, 1, 1]}
+    )
     assert np.array_equal(t2.map, t.map)
+    assert t2.source.axis_sizes == t.source.axis_sizes
     assert t2.target.axis_sizes == t.target.axis_sizes
