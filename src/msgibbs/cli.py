@@ -130,7 +130,8 @@ def cmd_solve_tabular(args):
         if chain_cfg == "decimation":
             backend = ms.TabularBackend.decimation(space, sched.depth)
         else:
-            backend = ms.TabularBackend([mt.ScaleMap.from_json(c) for c in chain_cfg])
+            maps = [_scale_map(c, f"$.chain[{i}]") for i, c in enumerate(chain_cfg)]
+            backend = ms.TabularBackend(maps)
         backend.check_depth(sched.depth)
         if algorithm == "mt" and not backend.is_decimation:
             raise ConfigError("$.chain: marginalize-tilt ('mt') needs a decimation chain")
@@ -236,6 +237,13 @@ def _number(value, path):
 def _sizes(values, path):
     """A JSON list of integral sizes, as a tuple of ints."""
     return tuple(_integral(v, f"{path}[{i}]") for i, v in enumerate(values))
+
+
+def _scale_map(cfg, path):
+    """A ``ScaleMap`` from its JSON object; sizes and map entries must be integral."""
+    source, target, entries = (_sizes(_require(cfg, key, path), f"{path}.{key}")
+                               for key in ("source_axis_sizes", "target_axis_sizes", "map"))
+    return mt.ScaleMap(mt.ProductSpace(source), mt.ProductSpace(target), entries)
 
 
 def _resolve_experiment(cfg, seed_override):

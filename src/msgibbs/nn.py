@@ -10,7 +10,12 @@ The teacher-student posterior has an exact reduced form
 (:func:`teacher_student_posterior`): expanded at zero weights, with an iid
 zero-mean prior and the layer partition, the Gauss-Newton curvature is
 ``11' (x) I_m (x) S`` and the dim-d*m^2 solve splits into one dim-d*m solve.
-:func:`multiscale_posterior` on the dense energy is its oracle.
+:func:`multiscale_posterior` on the dense energy is its oracle.  The result
+stays row-factored (:class:`TeacherStudentPosterior`): its covariance is
+``P (I_m (x) Sigma) P'``, Sigma of dim d*m and P the (a, k, b) -> (k, a, b)
+permutation, which keeps the (k, b) order within each output row a.  So the
+dense Cholesky factor is exactly ``P (I_m (x) L) P'``, and the same standard
+normals give the same weights as :func:`gaussian.sample` on the dense form.
 
 :func:`teacher_student_sweep` estimates its risk over an alpha x sigma1 grid;
 point i of the sorted grid draws from ``SeedSequence(seed, spawn_key=(1, i))``.
@@ -28,6 +33,8 @@ from .gaussian import (
     BlockPartition,
     GaussianDist,
     QuadraticEnergy,
+    _cholesky_pd,
+    _symmetrize,
     gibbs_gaussian,
     sample,
 )
@@ -45,6 +52,7 @@ __all__ = [
     "weight_jacobian",
     "gauss_newton_energy",
     "multiscale_posterior",
+    "TeacherStudentPosterior",
     "teacher_student_posterior",
     "teacher_student_data",
     "teacher_student_problem",
@@ -86,15 +94,6 @@ class ResNetParams:
     @classmethod
     def zeros(cls, m, d):
         return cls([np.zeros((m, m)) for _ in range(d)])
-
-    @classmethod
-    def from_flat(cls, vec, m, d):
-        vec = np.asarray(vec, dtype=float).reshape(-1)
-        if vec.size != d * m * m:
-            raise DimensionMismatch(
-                f"flat vector has {vec.size} entries, expected {d * m * m}"
-            )
-        return cls([vec[k * m * m : (k + 1) * m * m].reshape(m, m) for k in range(d)])
 
     def flat(self):
         return np.concatenate([w.ravel() for w in self.layers])
@@ -170,12 +169,19 @@ def forward(params, x):
     return h, hidden
 
 
+def _forward_columns(layers, h, buf):
+    """Forward pass in place on the inputs in the columns of h, (m, n); buf is scratch."""
+    for w in layers:
+        np.matmul(w, h, out=buf)
+        np.tanh(buf, out=buf)
+        h += buf
+    return h
+
+
 def forward_batch(params, xs):
     """Forward pass over a batch of inputs, shape (n, m) -> (n, m)."""
-    h = np.asarray(xs, dtype=float)
-    for w in params.layers:
-        h = np.tanh(h @ w.T) + h
-    return h
+    h = np.array(np.asarray(xs, dtype=float).T, order="C")
+    return np.ascontiguousarray(_forward_columns(params.layers, h, np.empty_like(h)).T)
 
 
 def residual_increment_check(params, x):
@@ -310,6 +316,32 @@ def teacher_student_problem(cfg):
     return teacher, train
 
 
+@dataclass(frozen=True, eq=False)
+class TeacherStudentPosterior:
+    """Gaussian over the layers, ``mean`` (d, m, m), with ``Cov(W_k[a, b], W_l[c, e])
+    = delta_ac row_cov[(k, b), (l, e)]`` and ``row_chol`` the Cholesky factor of row_cov."""
+
+    mean: np.ndarray
+    row_cov: np.ndarray
+    row_chol: np.ndarray
+
+    @property
+    def dim(self):
+        return self.mean.size
+
+    def sample_layers(self, rng):
+        """One draw of the layers from ``rng.standard_normal(dim)``, as :func:`sample`."""
+        d, m, _ = self.mean.shape
+        z = rng.standard_normal(self.dim).reshape(d, m, m).transpose(1, 0, 2).reshape(m, d * m)
+        return self.mean + (z @ self.row_chol.T).reshape(m, d, m).transpose(1, 0, 2)
+
+    def to_dense(self):
+        """The same distribution as a dim-d*m^2 :class:`GaussianDist`."""
+        d, m, _ = self.mean.shape
+        cov = np.einsum("ac,kble->kablce", np.eye(m), self.row_cov.reshape(d, m, d, m))
+        return GaussianDist(self.mean.reshape(-1), cov.reshape(self.dim, self.dim))
+
+
 def teacher_student_posterior(cfg, train, alpha, sigma1):
     """:func:`multiscale_posterior` of the zero-weight Gauss-Newton energy of
     ``train`` under :func:`iid_gaussian_prior` and :func:`layer_partition`,
@@ -324,8 +356,8 @@ def teacher_student_posterior(cfg, train, alpha, sigma1):
     in which eigen-coordinate j is a d-dim problem with curvature ``lam_j 11'``
     and shift ``(GQ)[a, j] 1``.  One solve with ``K_r = 11'_d (x) diag(lam)``,
     ``g_r = 1`` and partition ``(m,) * d`` covers them all; its mean u and
-    covariance C expand to ``W_k = G Q diag(u_k) Q'`` and
-    ``Cov(W_k[a, b], W_l[c, e]) = delta_ac (Q C_kl Q')[b, e]``.
+    covariance C expand to ``W_k = G Q diag(u_k) Q'`` and the row covariance
+    ``(Q C_kl Q')[b, e]`` of the returned :class:`TeacherStudentPosterior`.
     """
     m, d = cfg.m, cfg.d
     if train.xs.shape[1] != m:
@@ -343,13 +375,15 @@ def teacher_student_posterior(cfg, train, alpha, sigma1):
     prior = GaussianDist(np.zeros(d * m), cfg.prior_variance * np.eye(d * m))
     reduced = multiscale_posterior(energy, prior, alpha, sigma1, BlockPartition((m,) * d))
     mean = np.einsum("aj,kj,jb->kab", shift, reduced.mean.reshape(d, m), rot)
-    blocks = np.einsum("jb,kjlJ,Je->kble", rot, reduced.cov.reshape(d, m, d, m), rot)
-    cov = np.einsum("ac,kble->kablce", np.eye(m), blocks)
-    return GaussianDist(mean.reshape(-1), cov.reshape(d * m * m, d * m * m))
+    row_cov = np.einsum("jb,kjlJ,Je->kble", rot, reduced.cov.reshape(d, m, d, m), rot)
+    row_cov = _symmetrize(row_cov.reshape(d * m, d * m), "covariance")
+    mean.setflags(write=False)
+    row_cov.setflags(write=False)
+    return TeacherStudentPosterior(mean, row_cov, _cholesky_pd(row_cov, "covariance"))
 
 
 def population_risk_mc(posterior, teacher, cfg, n_test, n_weights, seed):
-    """Monte-Carlo population risk of weights drawn from the posterior.
+    """Monte-Carlo population risk of weights drawn from a factored or dense posterior.
 
     Each weight sample owns a deterministically derived random substream, so
     the estimate does not depend on evaluation order or parallelism.
@@ -361,13 +395,19 @@ def population_risk_mc(posterior, teacher, cfg, n_test, n_weights, seed):
     streams = ss.spawn(n_weights + 1)
     test_rng = np.random.default_rng(streams[-1])
     xs = test_rng.standard_normal((int(n_test), cfg.m))
-    ys = forward_batch(teacher, xs)
-    test = Dataset(xs, ys)
+    xs_t, ys_t = (np.array(a.T, order="C") for a in (xs, forward_batch(teacher, xs)))
+    out, buf = np.empty_like(xs_t), np.empty_like(xs_t)
     risks = np.empty(n_weights)
     for i in range(n_weights):
-        rng_i = np.random.default_rng(streams[i])
-        params = ResNetParams.from_flat(sample(posterior, rng_i), cfg.m, cfg.d)
-        risks[i] = empirical_risk(params, test)
+        rng = np.random.default_rng(streams[i])
+        layers = (posterior.sample_layers(rng) if isinstance(posterior, TeacherStudentPosterior)
+                  else sample(posterior, rng).reshape(cfg.d, cfg.m, cfg.m))
+        if not np.isfinite(layers).all():
+            raise ValueError("weights must be finite")
+        np.copyto(out, xs_t)
+        _forward_columns(layers, out, buf)
+        out -= ys_t
+        risks[i] = np.vdot(out, out) / xs.shape[0]
     estimate = float(risks.mean())
     stderr = float(risks.std(ddof=1) / math.sqrt(n_weights)) if n_weights > 1 else 0.0
     return estimate, stderr

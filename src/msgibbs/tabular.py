@@ -145,14 +145,6 @@ class ScaleMap:
         last = source.axis_sizes[-1]
         return cls(source, target, np.arange(source.size) // last)
 
-    @classmethod
-    def from_json(cls, obj):
-        return cls(
-            ProductSpace(tuple(obj["source_axis_sizes"])),
-            ProductSpace(tuple(obj["target_axis_sizes"])),
-            np.asarray(obj["map"]),
-        )
-
 
 class ConditionalTable:
     """Reverse conditional of ``p`` along the scale map ``t``, both checked already.

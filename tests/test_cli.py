@@ -338,6 +338,18 @@ def assert_one_config_error_line(err):
     assert lines[0].count("config error") == 1
 
 
+def binary3_chain(source=(2, 2, 2), target=(2, 2), map_entry=None):
+    """Config changes for a 3-entry schedule on an explicit 2-map decimation chain of
+    the binary3 space; the arguments replace parts of its first map."""
+    first = [0, 0, 1, 1, 2, 2, 3, 3]
+    if map_entry is not None:
+        first[map_entry[0]] = map_entry[1]
+    return {"sigma": [1.0, 0.75, 0.5], "chain": [
+        {"source_axis_sizes": list(source), "target_axis_sizes": list(target), "map": first},
+        {"source_axis_sizes": [2, 2], "target_axis_sizes": [2], "map": [0, 0, 1, 1]},
+    ]}
+
+
 @pytest.mark.parametrize(
     "command, config_name, change",
     [
@@ -417,6 +429,14 @@ def assert_one_config_error_line(err):
          {"prior": {"mean": [0.0, 0.0, 0.0], "cov": [0.5, 0.1, 0.0, 0.1, 0.4, 0.05,
                                                      0.0, 0.05, 0.6], "block_sizes": [1.9, 2]}}),
         ("bounds", "bounds_gaussian_demo.json", {"block_sizes": [1.5, 1]}),
+        # explicit chains: non-integral, boolean and string sizes and map entries
+        ("solve-tabular", "solve_tabular_binary3.json", binary3_chain(source=[2, 2, 2.9])),
+        ("solve-tabular", "solve_tabular_binary3.json", binary3_chain(target=[2, 2.5])),
+        ("solve-tabular", "solve_tabular_binary3.json", binary3_chain(source=[2, 2, "2"])),
+        ("solve-tabular", "solve_tabular_binary3.json", binary3_chain(map_entry=(1, 0.9))),
+        ("solve-tabular", "solve_tabular_binary3.json", binary3_chain(map_entry=(7, 3.7))),
+        ("solve-tabular", "solve_tabular_binary3.json", binary3_chain(map_entry=(2, True))),
+        ("solve-tabular", "solve_tabular_binary3.json", binary3_chain(map_entry=(0, "0"))),
         # scalars: strings and booleans are not numbers
         ("bounds", "bounds_gaussian_demo.json", {"R": True}),
         ("bounds", "bounds_teacher_student.json", {"R": "2"}),
@@ -474,4 +494,20 @@ def test_solve_tabular_mt_with_explicit_decimation_chain(tmp_path):
         reports.append(json.loads(out.read_text()))
     assert reports[0]["solution"] == reports[1]["solution"]
     assert reports[0]["objective"] == reports[1]["objective"]
+    assert reports[1]["verified"] is True
+
+
+def test_explicit_two_map_chain_matches_decimation(tmp_path):
+    # the valid base of the chain cases of test_config_errors_print_one_prefixed_line
+    cfg = json.loads((CONFIGS / "solve_tabular_binary3.json").read_text())
+    explicit = binary3_chain()
+    reports = []
+    for change in ({"sigma": explicit["sigma"], "chain": "decimation"}, explicit):
+        cfg.update(change)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out.json"
+        assert run(["solve-tabular", "--config", str(path), "--out", str(out)]) == cli.EXIT_OK
+        reports.append(json.loads(out.read_text()))
+    assert reports[0]["solution"] == reports[1]["solution"]
     assert reports[1]["verified"] is True

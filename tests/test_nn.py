@@ -24,8 +24,8 @@ def finite_difference_jacobian(params, x, eps=1e-5):
         wp[j] += eps
         wm = flat.copy()
         wm[j] -= eps
-        op, _ = mn.forward(mn.ResNetParams.from_flat(wp, m, d), x)
-        om, _ = mn.forward(mn.ResNetParams.from_flat(wm, m, d), x)
+        op, _ = mn.forward(mn.ResNetParams(wp.reshape(d, m, m)), x)
+        om, _ = mn.forward(mn.ResNetParams(wm.reshape(d, m, m)), x)
         out[:, j] = (op - om) / (2.0 * eps)
     return out
 
@@ -61,12 +61,17 @@ def test_forward_norm_growth_bound():
 
 def test_forward_batch_matches_loop():
     rng = np.random.default_rng(2)
-    params = small_params(rng, 4, 3)
-    xs = rng.standard_normal((6, 4))
-    batched = mn.forward_batch(params, xs)
-    for i in range(6):
-        single, _ = mn.forward(params, xs[i])
-        assert np.allclose(batched[i], single)
+    # (1, 4) and (6, 1) inputs have C-contiguous transposes: the in-place kernel must copy
+    for m, n in ((4, 6), (4, 1), (1, 6)):
+        params = small_params(rng, m, 3)
+        xs = rng.standard_normal((n, m))
+        given = xs.copy()
+        batched = mn.forward_batch(params, xs)
+        assert np.array_equal(xs, given)
+        assert batched.shape == (n, m) and batched.flags.c_contiguous
+        for i in range(n):
+            single, _ = mn.forward(params, xs[i])
+            assert np.allclose(batched[i], single)
 
 
 def test_residual_increment_check():
@@ -154,8 +159,8 @@ def test_gauss_newton_energy():
         wm = w0.copy()
         wm[j] -= eps
         fd = (
-            mn.empirical_risk(mn.ResNetParams.from_flat(wp, m, d), data)
-            - mn.empirical_risk(mn.ResNetParams.from_flat(wm, m, d), data)
+            mn.empirical_risk(mn.ResNetParams(wp.reshape(d, m, m)), data)
+            - mn.empirical_risk(mn.ResNetParams(wm.reshape(d, m, m)), data)
         ) / (2 * eps)
         assert abs(en.gradient(w0)[j] - fd) < 1e-6
     # PSD by construction
@@ -246,7 +251,7 @@ def test_teacher_student_posterior_matches_dense(m, d, n_train):
     energy = mn.gauss_newton_energy(mn.ResNetParams.zeros(m, d), train)
     for alpha in (0.0, 0.5, 0.999):
         for sigma1 in (10**-9.5, 1e-6, 10**-2.5):
-            reduced = mn.teacher_student_posterior(cfg, train, alpha, sigma1)
+            reduced = mn.teacher_student_posterior(cfg, train, alpha, sigma1).to_dense()
             dense = dense_teacher_student_posterior(cfg, train, alpha, sigma1, energy)
             rtol = REDUCED_RTOL if sigma1 >= 1e-6 else REDUCED_EDGE_RTOL
             for field in ("mean", "cov", "precision"):
@@ -272,10 +277,41 @@ def test_teacher_student_posterior_factors_only_reduced_matrices(monkeypatch):
 
     monkeypatch.setattr(mn, "gauss_newton_energy", dense_energy)
     posterior = mn.teacher_student_posterior(cfg, train, 0.5, 1e-4)
-    mg.sample(posterior, np.random.default_rng(0), size=3)
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        posterior.sample_layers(rng)
     reduced_dim = cfg.d * cfg.m
     assert any(n == reduced_dim for _, n in sizes)
-    assert [(name, n) for name, n in sizes if n > reduced_dim] == [("cholesky", posterior.dim)]
+    assert [(name, n) for name, n in sizes if n > reduced_dim] == []
+
+
+def expand_rows(row_matrix, m):
+    """``P (I_m (x) A) P'`` for a dim-d*m row matrix A; P maps (a, k, b) to (k, a, b)."""
+    d = row_matrix.shape[0] // m
+    full = np.einsum("ac,kble->kablce", np.eye(m), row_matrix.reshape(d, m, d, m))
+    return full.reshape(d * m * m, d * m * m)
+
+
+@pytest.mark.parametrize("m, d, n_train", [(3, 3, 10), (10, 4, 30), (5, 3, 3)])
+def test_row_factored_posterior_draws_equal_dense_draws(m, d, n_train):
+    cfg = mn.TeacherStudentConfig(m=m, d=d, teacher_depth=d // 2, n_train=n_train)
+    teacher, train, _ = mn.teacher_student_data(cfg, np.random.default_rng(15))
+    for alpha in (0.0, 0.5, 0.999):
+        for sigma1 in (10**-9.5, 1e-6, 10**-2.5):
+            posterior = mn.teacher_student_posterior(cfg, train, alpha, sigma1)
+            dense = posterior.to_dense()
+            at = (alpha, sigma1)
+            assert posterior.dim == dense.dim == d * m * m
+            assert rel_gap(expand_rows(posterior.row_chol, m), dense.chol) <= REDUCED_RTOL, at
+            for k in range(3):
+                layers = posterior.sample_layers(np.random.default_rng(k))
+                flat = mg.sample(dense, np.random.default_rng(k))
+                assert layers.shape == (d, m, m)
+                assert rel_gap(layers.reshape(-1), flat) <= REDUCED_RTOL, at
+            factored = mn.population_risk_mc(posterior, teacher, cfg, 40, 6, 7)
+            dense_risk = mn.population_risk_mc(dense, teacher, cfg, 40, 6, 7)
+            assert factored == pytest.approx(dense_risk, rel=REDUCED_RTOL, abs=0.0), at
+    assert not posterior.mean.flags.writeable and not posterior.row_chol.flags.writeable
 
 
 def test_multiscale_posterior_reductions():
@@ -328,6 +364,9 @@ def test_population_risk_mc():
     b = mn.population_risk_mc(wide, teacher, cfg, 300, 25, 42)
     assert a == b
     assert a[1] > 0.0
+    with pytest.raises(ValueError, match="finite"):
+        mn.population_risk_mc(mg.GaussianDist(np.full(dim, np.inf), np.eye(dim)),
+                              teacher, cfg, 10, 2, 0)
     with pytest.raises(DimensionMismatch):
         mn.population_risk_mc(point, teacher,
                               mn.TeacherStudentConfig(m=2, d=3, teacher_depth=1,
@@ -384,7 +423,7 @@ def test_min_risk_per_alpha_keeps_the_first_of_tied_minima():
 def test_flatten_round_trip():
     rng = np.random.default_rng(13)
     params = small_params(rng, 3, 4)
-    back = mn.ResNetParams.from_flat(params.flat(), 3, 4)
+    back = mn.ResNetParams(params.flat().reshape(4, 3, 3))
     for w1, w2 in zip(params.layers, back.layers):
         assert np.array_equal(w1, w2)
     # layer-major, row-major order

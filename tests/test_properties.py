@@ -165,7 +165,7 @@ def test_reduced_teacher_student_posterior_matches_dense(case):
     energy = mn.gauss_newton_energy(mn.ResNetParams.zeros(cfg.m, cfg.d), train)
     dense = mn.multiscale_posterior(energy, mn.iid_gaussian_prior(cfg), alpha, sigma1,
                                     mn.layer_partition(cfg.m, cfg.d))
-    reduced = mn.teacher_student_posterior(cfg, train, alpha, sigma1)
+    reduced = mn.teacher_student_posterior(cfg, train, alpha, sigma1).to_dense()
     lam_max = np.linalg.eigvalsh(2.0 / train.n * train.xs.T @ train.xs).max()
     kappa = 1.0 + cfg.d * cfg.prior_variance * lam_max / sigma1
     rtol = max(REDUCED_RTOL, ROUNDING_PER_CONDITION * kappa)

@@ -415,15 +415,8 @@ def test_gibbs_optimality():
         assert obj >= g_obj - 1e-12
 
 
-def test_json_round_trip():
+def test_tabular_dist_to_json():
     rng = np.random.default_rng(41)
     space = mt.ProductSpace((2, 3))
     p = random_dist(space, rng)
     assert p.to_json() == {"axis_sizes": [2, 3], "probs": p.probs.tolist()}
-    t = mt.ScaleMap.decimation(space)
-    t2 = mt.ScaleMap.from_json(
-        {"source_axis_sizes": [2, 3], "target_axis_sizes": [2], "map": [0, 0, 0, 1, 1, 1]}
-    )
-    assert np.array_equal(t2.map, t.map)
-    assert t2.source.axis_sizes == t.source.axis_sizes
-    assert t2.target.axis_sizes == t.target.axis_sizes
