@@ -68,15 +68,31 @@ def _require(cfg, key, path="$"):
     return cfg[key]
 
 
-def _sanitize(obj):
-    """Make report values JSON-safe (inf sentinels become the string 'inf')."""
+def _json(obj, pad="\n"):
+    """``json.dumps(obj, indent=2, sort_keys=True)``, with an infinite float as the string
+    "inf"; keys must be ``str``.
+
+    A list of finite floats is written in one pass: ``float.__repr__`` is what ``json``
+    writes for each of them.  Every other scalar goes to ``json.dumps``.
+    """
+    inner = pad + "  "
     if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf"
-    return obj
+        if not all(isinstance(key, str) for key in obj):
+            raise TypeError("report keys must be str")
+        items = [f"{json.dumps(key)}: {_json(obj[key], inner)}" for key in sorted(obj)]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)):
+        if set(map(type, obj)) == {float} and math.isfinite(sum(obj)):
+            items = map(float.__repr__, obj)
+        else:
+            items = [_json(v, inner) for v in obj]
+        brackets = "[]"
+    elif isinstance(obj, float) and math.isinf(obj):
+        return '"inf"'
+    else:
+        return json.dumps(obj)
+    body = ("," + inner).join(items)
+    return f"{brackets[0]}{inner}{body}{pad}{brackets[1]}" if body else brackets
 
 
 def _write_report(args, cfg, report):
@@ -85,7 +101,7 @@ def _write_report(args, cfg, report):
     Returns EXIT_VERIFY_FAILED if the report carries a failed verification.
     """
     report.update(config=cfg, version=__version__)
-    text = json.dumps(_sanitize(report), indent=2, sort_keys=True) + "\n"
+    text = _json(report) + "\n"
     if args.out is None:
         sys.stdout.write(text)
     else:

@@ -22,8 +22,12 @@ point i of the sorted grid draws from ``SeedSequence(seed, spawn_key=(1, i))``.
 """
 
 import concurrent.futures  # loads the process pool and multiprocessing on first use
+import contextlib
+import ctypes
 import functools
+import glob
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -391,6 +395,8 @@ def population_risk_mc(posterior, teacher, cfg, n_test, n_weights, seed):
     """
     if posterior.dim != cfg.d * cfg.m**2:
         raise DimensionMismatch("posterior dimension does not match the config")
+    if n_test < 1 or n_weights < 1:
+        raise ValueError(f"need n_test >= 1 and n_weights >= 1, got {n_test} and {n_weights}")
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     streams = ss.spawn(n_weights + 1)
     test_rng = np.random.default_rng(streams[-1])
@@ -419,23 +425,61 @@ def _sweep_point(cfg, teacher, train, n_test, n_weights, index, point):
     return population_risk_mc(posterior, teacher, cfg, n_test, n_weights, seed)
 
 
+@functools.cache
+def _openblas():
+    """The thread-count getter and setter of numpy's bundled OpenBLAS, or None."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
+        with contextlib.suppress(OSError, AttributeError):
+            lib = ctypes.CDLL(path)
+            return lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    return None
+
+
+def _set_blas_threads(n):
+    """Set the BLAS thread count to n; return the old count (None without OpenBLAS)."""
+    blas = _openblas()
+    if blas is None:
+        return None
+    old = blas[0]()
+    blas[1](n)
+    return old
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    old = _set_blas_threads(1)
+    try:
+        yield
+    finally:
+        if old is not None:
+            _set_blas_threads(old)
+
+
 def teacher_student_sweep(cfg, alphas, sigma1s, n_test, n_weights, workers=1):
     """Rows ``(alpha, sigma1, risk, stderr)`` of :func:`population_risk_mc` for
     :func:`teacher_student_posterior` over the sorted grid, alpha-major.
 
     Point ``i`` draws from ``SeedSequence(cfg.seed, spawn_key=(1, i))``, so the
     rows do not depend on ``workers``.  The pool forks at most one process per
-    chunk of 4 points and is shut down before the call returns.
+    chunk of 4 points and is shut down before the call returns.  Numpy's bundled
+    OpenBLAS, where there is one, runs on one thread here and in every worker for
+    the whole call, and the old count is back when the call returns or raises:
+    the thread count moves the rows in their last bits, and a pool of processes
+    that each run multi-threaded BLAS oversubscribes the cores.
     """
-    teacher, train = teacher_student_problem(cfg)
-    grid = [(a, s) for a in sorted(map(float, alphas)) for s in sorted(map(float, sigma1s))]
-    run = functools.partial(_sweep_point, cfg, teacher, train, n_test, n_weights)
-    workers = min(workers, -(-len(grid) // 4))
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            risks = list(pool.map(run, range(len(grid)), grid, chunksize=4))
-    else:
-        risks = map(run, range(len(grid)), grid)
+    with _one_blas_thread():
+        teacher, train = teacher_student_problem(cfg)
+        grid = [(a, s) for a in sorted(map(float, alphas)) for s in sorted(map(float, sigma1s))]
+        run = functools.partial(_sweep_point, cfg, teacher, train, n_test, n_weights)
+        workers = min(workers, -(-len(grid) // 4))
+        if workers > 1:
+            with concurrent.futures.ProcessPoolExecutor(
+                max_workers=workers, initializer=_set_blas_threads, initargs=(1,)
+            ) as pool:
+                risks = list(pool.map(run, range(len(grid)), grid, chunksize=4))
+        else:
+            risks = list(map(run, range(len(grid)), grid))
     return [(*point, *risk) for point, risk in zip(grid, risks)]
 
 

@@ -8,13 +8,16 @@ def pool_sizes(monkeypatch):
     """Replace the sweep's process pool by one that runs the map in this process.
 
     Returns the list of ``max_workers`` values the sweep asked for, so a test
-    can check the pool size without starting any process.
+    can check the pool size without starting any process.  The ``initializer``
+    runs once, here, as it would in each worker.
     """
     started = []
 
     class RecordingExecutor:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None, initargs=()):
             started.append(max_workers)
+            if initializer is not None:
+                initializer(*initargs)
 
         def __enter__(self):
             return self

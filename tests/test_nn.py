@@ -1,6 +1,9 @@
 import dataclasses
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -407,6 +410,72 @@ def test_teacher_student_sweep_forks_at_most_one_process_per_chunk(pool_sizes):
     # a grid of one chunk runs without a pool
     mn.teacher_student_sweep(SWEEP_CFG, [0.0], SWEEP_SIGMA1S[:4], 100, 10, workers=8)
     assert pool_sizes == [4, 3]
+
+
+@pytest.mark.parametrize("n_test, n_weights", [(0, 5), (5, 0), (-1, 5)])
+def test_population_risk_mc_needs_a_test_input_and_a_weight_draw(n_test, n_weights):
+    teacher, train = mn.teacher_student_problem(SWEEP_CFG)
+    posterior = mn.teacher_student_posterior(SWEEP_CFG, train, 0.5, 1e-4)
+    with pytest.raises(ValueError, match="n_test >= 1 and n_weights >= 1"):
+        mn.population_risk_mc(posterior, teacher, SWEEP_CFG, n_test, n_weights, 0)
+    with pytest.raises(ValueError, match="n_test >= 1 and n_weights >= 1"):
+        mn.teacher_student_sweep(SWEEP_CFG, [0.5], [1e-4], n_test, n_weights)
+
+
+@pytest.fixture
+def blas_threads():
+    """numpy's OpenBLAS thread-count getter and setter; the count is restored after the test."""
+    funcs = mn._openblas()
+    if funcs is None:
+        pytest.skip("numpy has no bundled OpenBLAS")
+    old = funcs[0]()
+    yield funcs
+    funcs[1](old)
+
+
+def test_teacher_student_sweep_runs_blas_on_one_thread_and_restores_the_count(
+    blas_threads, monkeypatch, pool_sizes
+):
+    get, set_threads = blas_threads
+    set_threads(2)
+    seen = []
+    risk = mn.population_risk_mc
+
+    def recording(*args):
+        seen.append(get())
+        return risk(*args)
+
+    monkeypatch.setattr(mn, "population_risk_mc", recording)
+    assert len(sweep()) == len(seen) and set(seen) == {1} and get() == 2
+    # the pool's initializer pins the workers: here it runs in this process
+    seen.clear()
+    assert len(sweep(workers=2)) == len(seen) and set(seen) == {1} and get() == 2
+    assert pool_sizes == [2]
+
+    def failing(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(mn, "population_risk_mc", failing)
+    with pytest.raises(ValueError, match="boom"):
+        sweep()
+    assert get() == 2
+
+
+def test_teacher_student_sweep_rows_equal_a_one_blas_thread_run_bit_for_bit():
+    # fig1's network: wide enough that a multi-threaded BLAS moves the rows' last bits
+    code = (
+        "from msgibbs import nn\n"
+        "cfg = nn.TeacherStudentConfig(m=10, d=4, teacher_depth=2, n_train=30)\n"
+        "print(repr(nn.teacher_student_sweep(cfg, [0.0, 0.5], [1e-6, 1e-4, 1e-3], 2000, 20)))"
+    )
+    src = os.path.dirname(os.path.dirname(mn.__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    pinned = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True).stdout
+    cfg = mn.TeacherStudentConfig(m=10, d=4, teacher_depth=2, n_train=30)
+    rows = mn.teacher_student_sweep(cfg, [0.0, 0.5], [1e-6, 1e-4, 1e-3], 2000, 20)
+    assert repr(rows) + "\n" == pinned
 
 
 def test_min_risk_per_alpha_keeps_the_first_of_tied_minima():

@@ -6,7 +6,12 @@ Gaussian: random block partitions and temperature schedules with sigma_1
 across the experiment's grid 10^-9.5 ... 10^-2.5.
 Teacher-student: the reduced posterior against the dense one, on random
 small nets, including fewer training inputs than the width.
+Reports: the CLI's JSON writer against ``json.dumps``.
 """
+
+import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +21,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from msgibbs import cli  # noqa: E402
 from msgibbs import gaussian as mg  # noqa: E402
 from msgibbs import multiscale as ms  # noqa: E402
 from msgibbs import nn as mn  # noqa: E402
@@ -172,3 +178,63 @@ def test_reduced_teacher_student_posterior_matches_dense(case):
     for field in ("mean", "cov", "precision"):
         a, b = getattr(reduced, field), getattr(dense, field)
         assert np.abs(a - b).max() <= rtol * np.abs(b).max(), field
+
+
+def ref_sanitize(obj):
+    """The report writer's former first pass: inf floats become the string 'inf'."""
+    if isinstance(obj, dict):
+        return {k: ref_sanitize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [ref_sanitize(v) for v in obj]
+    if isinstance(obj, float) and math.isinf(obj):
+        return "inf"
+    return obj
+
+
+def ref_json(obj):
+    return json.dumps(ref_sanitize(obj), indent=2, sort_keys=True)
+
+
+report_floats = st.one_of(
+    st.floats(),  # NaN, +-inf, -0.0 and subnormals included
+    st.sampled_from([-0.0, 5e-324, 1e16, 1e-5, math.inf, -math.inf, math.nan]),
+)
+report_scalars = st.one_of(report_floats, st.integers(), st.booleans(), st.none(), st.text())
+report_values = st.recursive(
+    st.one_of(report_scalars, st.lists(report_floats), st.lists(st.floats(-1e3, 1e3))),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(), children, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(report_values)
+def test_report_writer_matches_json_dumps(obj):
+    assert cli._json(obj) == ref_json(obj)
+
+
+def test_report_writer_takes_only_str_keys():
+    for obj in ({1: 0.5}, {"a": {None: 1}}, [{2.0: "x"}]):
+        with pytest.raises(TypeError):
+            cli._json(obj)
+
+
+def test_solve_gaussian_report_with_a_dense_covariance_matches_json_dumps(tmp_path, monkeypatch):
+    reports = []
+    write = cli._json
+
+    def recording(obj, *pad):
+        reports.append(obj)  # the writer recurses through this name: the first is the report
+        return write(obj, *pad)
+
+    monkeypatch.setattr(cli, "_json", recording)
+    config = Path(__file__).resolve().parents[1] / "configs" / "solve_gaussian_demo.json"
+    out = tmp_path / "out.json"
+    assert cli.main(["solve-gaussian", "--config", str(config), "--out", str(out)]) == 0
+    cov = np.asarray(reports[0]["solution"]["cov"]).reshape(3, 3)
+    assert np.all(cov != 0.0)
+    assert out.read_text() == ref_json(reports[0]) + "\n"
