@@ -148,7 +148,7 @@ def cmd_solve_tabular(args):
         else:
             maps = [_scale_map(c, f"$.chain[{i}]") for i, c in enumerate(chain_cfg)]
             backend = ms.TabularBackend(maps)
-        backend.check_depth(sched.depth)
+        ms.check_depth(backend, sched.depth)
         if algorithm == "mt" and not backend.is_decimation:
             raise ConfigError("$.chain: marginalize-tilt ('mt') needs a decimation chain")
         reference = None
@@ -198,7 +198,7 @@ def cmd_solve_gaussian(args):
             raise ConfigError(f"$.algorithm: unknown {algorithm!r}")
         sched = _schedule_from(cfg)
         backend = ms.GaussianBackend(partition)
-        backend.check_depth(sched.depth)
+        ms.check_depth(backend, sched.depth)
 
     if algorithm == "max-entropy":
         solution, trace = ms.solve_max_entropy(energy, sched, backend, with_trace=True)

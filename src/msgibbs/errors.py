@@ -45,6 +45,10 @@ class NonpositiveTheta(MsgibbsError):
     """Scaling exponent must be strictly positive."""
 
 
+class NumericalGuard(MsgibbsError, ValueError):
+    """A Gaussian input or intermediate is non-finite, asymmetric or not positive definite."""
+
+
 class IndefinitePosterior(MsgibbsError):
     """Gibbs update produced a non positive-definite precision matrix."""
 

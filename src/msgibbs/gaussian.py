@@ -17,6 +17,7 @@ from .errors import (
     IndefinitePosterior,
     NegativeDivergenceInput,
     NonpositiveTheta,
+    NumericalGuard,
     SingularConditioningBlock,
 )
 from .tolerances import TOL
@@ -26,9 +27,11 @@ def _symmetrize(mat, what="matrix", tol=TOL.symmetry):
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch(f"{what} must be square, got shape {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise NumericalGuard(f"{what} has non-finite entries")
     gap = float(np.abs(mat - mat.T).max(initial=0.0))
     if gap > tol * max(1.0, float(np.abs(mat).max(initial=0.0))):
-        raise ValueError(f"{what} is asymmetric beyond tolerance (gap {gap!r})")
+        raise NumericalGuard(f"{what} is asymmetric beyond tolerance (gap {gap!r})")
     return 0.5 * (mat + mat.T)
 
 
@@ -36,9 +39,9 @@ def _cholesky_pd(mat, what="matrix"):
     try:
         factor = np.linalg.cholesky(mat)
     except np.linalg.LinAlgError as exc:
-        raise ValueError(f"{what} is not positive definite") from exc
+        raise NumericalGuard(f"{what} is not positive definite") from exc
     if float(np.diag(factor).min()) < TOL.cholesky_pivot_floor:
-        raise ValueError(
+        raise NumericalGuard(
             f"{what} has a Cholesky pivot below the floor {TOL.cholesky_pivot_floor}"
         )
     factor.setflags(write=False)
@@ -53,6 +56,8 @@ class BlockPartition:
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.block_sizes)
+        if sizes != tuple(self.block_sizes):
+            raise ValueError(f"block sizes must be integers, got {self.block_sizes}")
         if len(sizes) == 0 or any(s < 1 for s in sizes):
             raise ValueError(f"block sizes must be positive, got {sizes}")
         object.__setattr__(self, "block_sizes", sizes)
@@ -101,6 +106,8 @@ class GaussianDist:
         size = matrix.shape[0]
         if size != mean.size:
             raise DimensionMismatch(f"mean has dim {mean.size}, {what} is {size}x{size}")
+        if not np.all(np.isfinite(mean)):
+            raise NumericalGuard("mean has non-finite entries")
         mean.setflags(write=False)
         matrix.setflags(write=False)
         self.mean, self._cov, self._chol, self._precision = mean, cov, None, precision
@@ -198,8 +205,11 @@ class QuadraticEnergy:
     def __post_init__(self):
         K = _symmetrize(self.K, "K", TOL.energy_symmetry)
         g = np.asarray(self.g, dtype=float).reshape(-1)
+        c = float(self.c)
         if K.shape != (g.size, g.size):
             raise DimensionMismatch("K and g dimensions are inconsistent")
+        if not (np.all(np.isfinite(g)) and math.isfinite(c)):
+            raise NumericalGuard("g and c must be finite")
         eigmin = float(np.linalg.eigvalsh(K).min())
         if eigmin < -TOL.energy_eigenvalue_floor:
             raise ValueError(f"K has eigenvalue {eigmin!r} below -{TOL.energy_eigenvalue_floor}")
@@ -207,7 +217,7 @@ class QuadraticEnergy:
         g.setflags(write=False)
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "g", g)
-        object.__setattr__(self, "c", float(self.c))
+        object.__setattr__(self, "c", c)
 
     @property
     def dim(self):

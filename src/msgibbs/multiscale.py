@@ -3,13 +3,13 @@
 A single algorithm body serves both backends:
 
 1. start from the microscopic Gibbs distribution at the finest scale,
-2. repeatedly coarse-grain and renormalize (scale, or tilt toward the
-   reference) with exponent ``(s_1+...+s_{i-1}) / (s_1+...+s_i)``,
+2. repeatedly coarse-grain and renormalize (scale, or tilt toward the reference
+   coarse-grained in lock-step) with exponent ``(s_1+...+s_{i-1}) / (s_1+...+s_i)``,
 3. refine back down by composing the intermediate conditionals.
 
-Coarse-graining steps whose tilt exponent equals one are pure
-pass-throughs and are short-circuited, so single-scale schedules return
-the microscopic Gibbs distribution object itself.
+Steps past the deepest one whose tilt exponent is below one are pure
+pass-throughs and are not computed, so single-scale schedules return the
+microscopic Gibbs distribution object itself without coarse-graining.
 """
 
 from dataclasses import dataclass
@@ -26,6 +26,7 @@ __all__ = [
     "TabularBackend",
     "GaussianBackend",
     "SolveTrace",
+    "check_depth",
     "solve_max_entropy",
     "solve_min_relative_entropy",
     "solve_mt",
@@ -52,8 +53,8 @@ class TemperatureSchedule:
     def __post_init__(self):
         lam = float(self.lam)
         sigma = tuple(float(s) for s in self.sigma)
-        if not lam > 0.0:
-            raise ValueError(f"lambda must be > 0, got {lam}")
+        if not 0.0 < lam < np.inf:
+            raise ValueError(f"lambda must be finite and > 0, got {lam}")
         if len(sigma) < 1:
             raise ValueError("schedule needs at least one scale")
         if not sigma[0] > 0.0:
@@ -68,14 +69,9 @@ class TemperatureSchedule:
         return len(self.sigma)
 
     def tilt_index(self, i):
-        """Renormalization exponent at step ``i`` (2-based, up to depth).
-
-        Steps with ``sigma_i == 0`` short-circuit to exactly 1 (pass-through).
-        """
+        """Renormalization exponent at step ``i`` in [2, depth]; exactly 1 if ``sigma_i = 0``."""
         if not 2 <= i <= self.depth:
             raise ValueError(f"step must be in [2, {self.depth}], got {i}")
-        if self.sigma[i - 1] == 0.0:
-            return 1.0
         prev = sum(self.sigma[: i - 1])
         return prev / (prev + self.sigma[i - 1])
 
@@ -125,9 +121,7 @@ class TabularBackend:
     def decimation(cls, space, depth):
         """Chain that drops the last axis once per step (depth-1 maps)."""
         if depth < 1 or depth > space.ndim:
-            raise SpaceMismatch(
-                f"decimation depth must be in [1, {space.ndim}], got {depth}"
-            )
+            raise SpaceMismatch(f"decimation depth must be in [1, {space.ndim}], got {depth}")
         # step k maps the leading ndim - k axes onto the leading ndim - k - 1
         sources = [mt.ProductSpace(space.axis_sizes[: space.ndim - k]) for k in range(depth - 1)]
         return cls([mt.ScaleMap.decimation(source) for source in sources])
@@ -136,20 +130,11 @@ class TabularBackend:
     def depth(self):
         return len(self.chain) + 1
 
-    def check_depth(self, depth):
-        if depth != self.depth:
-            raise SpaceMismatch(
-                f"schedule depth {depth} does not match chain depth {self.depth}"
-            )
-
     def initial_max_entropy(self, f, beta):
         return mt.gibbs(f, mt.TabularDist.uniform(f.space), beta)
 
     def initial_gibbs(self, f, q, beta):
         return mt.gibbs(f, q, beta)
-
-    def reference_marginals(self, q):
-        return mt.scale_marginals(q, self.chain)
 
     def coarse_grain(self, dist, step):
         return mt.pushforward(dist, self.chain[step])
@@ -180,13 +165,6 @@ class GaussianBackend:
     def depth(self):
         return self.partition.n_blocks
 
-    def check_depth(self, depth):
-        if depth != self.depth:
-            raise SpaceMismatch(
-                f"schedule depth {depth} does not match partition with "
-                f"{self.depth} blocks"
-            )
-
     def initial_max_entropy(self, f, beta):
         # density proportional to exp(-beta f); requires strictly PD K
         try:
@@ -199,9 +177,6 @@ class GaussianBackend:
 
     def initial_gibbs(self, f, q, beta):
         return mg.gibbs_gaussian(f, q, beta)
-
-    def reference_marginals(self, q):
-        return mg.scale_marginals(q, self.partition)
 
     def coarse_grain(self, dist, step):
         # dist is at scale step + 1, on the leading depth - step blocks
@@ -225,7 +200,7 @@ class SolveTrace:
     ``renormalized[i]`` is the distribution produced by the coarsening /
     renormalization phase at scale i+1; ``refined[i]`` is the partial
     composition produced by the refinement phase at scale i+1 (so
-    ``refined[0]`` is the returned optimizer and ``refined[-1]`` equals
+    ``refined[0]`` is the returned optimizer and ``refined[-1]`` is
     ``renormalized[-1]``).  Pushing the optimizer forward to scale i
     reproduces ``refined[i-1]``; its conditionals match those of
     ``renormalized[i-1]``.
@@ -235,33 +210,38 @@ class SolveTrace:
     refined: tuple
 
 
-def _renormalize_and_refine(initial, sched, backend, references, with_trace):
+def check_depth(backend, depth):
+    """Raise :class:`SpaceMismatch` unless a schedule of ``depth`` scales fits ``backend``."""
+    if depth != backend.depth:
+        raise SpaceMismatch(f"schedule depth {depth} does not match backend depth {backend.depth}")
+
+
+def _renormalize_and_refine(initial, sched, backend, q, with_trace):
+    """Reweight down to ``top``, the deepest scale with tilt index below one, and refine
+    back; ``q`` (``None``: scale instead of tilt) is coarse-grained in lock-step.  Steps
+    past ``top`` pass through and are computed only for the trace, as their own refinement.
+    """
     d = sched.depth
-    backend.check_depth(d)
-    intermediates = [initial]
-    marginals = [None]
-    for i in range(2, d + 1):
-        coarse = backend.coarse_grain(intermediates[-1], i - 2)
+    check_depth(backend, d)
+    top = max((i for i in range(2, d + 1) if sched.tilt_index(i) < 1.0), default=1)
+    renormalized = [initial]
+    reference = q
+    for i in range(2, (d if with_trace else top) + 1):
+        u_i = backend.coarse_grain(renormalized[-1], i - 2)
+        if q is not None and i <= top:
+            reference = backend.coarse_grain(reference, i - 2)
         tau = sched.tilt_index(i)
-        if tau >= 1.0:
-            u_i = coarse
-        elif references is None:
-            u_i = backend.scale(coarse, tau)
-        else:
-            u_i = backend.tilt(coarse, references[i - 1], tau)
-        intermediates.append(u_i)
-        marginals.append(coarse)
-    result = intermediates[-1]
+        if tau < 1.0:
+            u_i = backend.scale(u_i, tau) if q is None else backend.tilt(u_i, reference, tau)
+        renormalized.append(u_i)
+    result = renormalized[top - 1]
     refined = [result]
-    for i in range(d - 2, -1, -1):
-        # a pass-through step contributes its own conditional back unchanged
-        if result is marginals[i + 1]:
-            result = intermediates[i]
-        else:
-            result = backend.refine_step(result, intermediates[i], i)
+    for step in range(top - 2, -1, -1):
+        result = backend.refine_step(result, renormalized[step], step)
         refined.append(result)
     if with_trace:
-        return result, SolveTrace(tuple(intermediates), tuple(reversed(refined)))
+        refined = tuple(reversed(refined)) + tuple(renormalized[top:])
+        return result, SolveTrace(tuple(renormalized), refined)
     return result
 
 
@@ -282,8 +262,7 @@ def solve_min_relative_entropy(f, q, sched, backend, with_trace=False):
     times q and renormalizes by tilting toward q's coarse marginals.
     """
     initial = backend.initial_gibbs(f, q, 1.0 / (sched.lam * sched.sigma[0]))
-    references = backend.reference_marginals(q)
-    return _renormalize_and_refine(initial, sched, backend, references, with_trace)
+    return _renormalize_and_refine(initial, sched, backend, q, with_trace)
 
 
 def solve_mt(gibbs_dist, q, sched, backend, with_trace=False):
@@ -294,8 +273,7 @@ def solve_mt(gibbs_dist, q, sched, backend, with_trace=False):
     """
     if not backend.is_decimation:
         raise SpaceMismatch("marginalize-tilt requires a decimation backend")
-    references = backend.reference_marginals(q)
-    return _renormalize_and_refine(gibbs_dist, sched, backend, references, with_trace)
+    return _renormalize_and_refine(gibbs_dist, sched, backend, q, with_trace)
 
 
 def max_entropy_objective(p, f, sched, chain):
@@ -313,7 +291,7 @@ def min_relative_entropy_objective(p, f, q, sched, chain):
 def _gaussian_scales(p, sched, partition):
     """(sigma_i, p at scale i) for the scales with sigma_i > 0, finest first;
     scales as in :func:`gaussian.scale_marginals`."""
-    GaussianBackend(partition).check_depth(sched.depth)
+    check_depth(GaussianBackend(partition), sched.depth)
     return [(s, p_i) for s, p_i in zip(sched.sigma, mg.scale_marginals(p, partition)) if s > 0.0]
 
 

@@ -33,6 +33,8 @@ class ProductSpace:
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.axis_sizes)
+        if sizes != tuple(self.axis_sizes):
+            raise ValueError(f"axis sizes must be integers, got {self.axis_sizes}")
         if len(sizes) == 0:
             raise ValueError("a product space needs at least one axis")
         if any(s < 1 for s in sizes):
@@ -127,7 +129,12 @@ class ScaleMap:
     __slots__ = ("source", "target", "map")
 
     def __init__(self, source, target, mapping):
-        mapping = _readonly(mapping, np.int64)
+        given = np.asarray(mapping).reshape(-1)
+        with np.errstate(invalid="ignore"):
+            mapping = _readonly(given, np.int64)
+        off = mapping != given
+        if off.any():
+            raise ValueError(f"map entries must be integers, got {given[off][0].item()!r}")
         if mapping.shape != (source.size,):
             raise SpaceMismatch(
                 f"map has length {mapping.size}, source has {source.size} states"

@@ -35,6 +35,15 @@ def test_solve_tabular_golden(tmp_path):
     assert report["version"] == "0.1.0"
 
 
+def test_solve_tabular_partial_schedule_golden(tmp_path):
+    # max-entropy scales instead of tilting, and sigma_3 = 0 leaves a pass-through tail
+    out = tmp_path / "out.json"
+    config = GOLDEN / "solve_tabular_binary3_partial.config.json"
+    assert run(["solve-tabular", "--config", str(config), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "solve_tabular_binary3_partial.json").read_bytes()
+    assert json.loads(out.read_text())["verified"] is True
+
+
 def _assert_report_matches(got, want, path="$"):
     """Keys and strings equal; floats equal within a relative 1e-10.
 
@@ -451,6 +460,20 @@ def binary3_chain(source=(2, 2, 2), target=(2, 2), map_entry=None):
         ("solve-gaussian", "solve_gaussian_demo.json",
          {"energy": {"K": [2.0, 0.3, 0.1, 0.3, 1.5, 0.0, 0.1, 0.0, 1.0],
                      "g": [0.2, -0.1, 0.4], "c": "3"}}),
+        # an infinite lambda (JSON reads 1e400 as inf), and non-finite Gaussian inputs
+        ("solve-tabular", "solve_tabular_binary3.json",
+         {"lambda": math.inf, "algorithm": "min-rel-entropy"}),
+        ("solve-tabular", "solve_tabular_binary3.json",
+         {"lambda": math.inf, "algorithm": "max-entropy"}),
+        ("solve-gaussian", "solve_gaussian_demo.json",
+         {"prior": {"mean": [0.0, 0.0, 0.0], "cov": [math.inf, 0.1, 0.0, 0.1, 0.4, 0.05,
+                                                     0.0, 0.05, 0.6], "block_sizes": [1, 2]}}),
+        ("solve-gaussian", "solve_gaussian_demo.json",
+         {"prior": {"mean": [math.nan, 0.0, 0.0], "cov": [0.5, 0.1, 0.0, 0.1, 0.4, 0.05,
+                                                          0.0, 0.05, 0.6], "block_sizes": [1, 2]}}),
+        ("solve-gaussian", "solve_gaussian_demo.json",
+         {"energy": {"K": [2.0, 0.3, 0.1, 0.3, 1.5, 0.0, 0.1, 0.0, 1.0],
+                     "g": [0.2, -math.inf, 0.4]}}),
     ],
 )
 def test_config_errors_print_one_prefixed_line(tmp_path, capsys, command, config_name, change):
@@ -463,6 +486,19 @@ def test_config_errors_print_one_prefixed_line(tmp_path, capsys, command, config
     captured = capsys.readouterr()
     assert captured.out == ""
     assert_one_config_error_line(captured.err)
+
+
+def test_failed_guard_during_a_solve_prints_one_error_line(tmp_path, capsys):
+    # sigma_1 = 1e-28 drives the coarse covariance below the Cholesky pivot floor
+    cfg = json.loads((CONFIGS / "solve_gaussian_demo.json").read_text())
+    cfg["sigma"] = [1e-28, 0.5]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["solve-gaussian", "--config", str(path)]) == cli.EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "pivot" in lines[0]
 
 
 def test_alpha_schedule_config_takes_an_integral_depth(tmp_path):

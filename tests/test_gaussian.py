@@ -13,6 +13,7 @@ from msgibbs.errors import (
     IndefinitePosterior,
     NegativeDivergenceInput,
     NonpositiveTheta,
+    NumericalGuard,
 )
 from msgibbs.tolerances import TOL
 
@@ -35,6 +36,32 @@ def test_construction_invariants():
         mg.GaussianDist([0.0], np.eye(2))
     g = mg.GaussianDist([1.0, -1.0], [[2.0, 0.3], [0.3, 1.0]])
     assert np.allclose(g.precision @ g.cov, np.eye(2), atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_inputs_raise_a_numerical_guard(bad):
+    matrix = np.eye(2)
+    matrix[0, 0] = bad
+    constructions = [
+        lambda: mg.GaussianDist([0.0, 0.0], np.full((2, 2), bad)),
+        lambda: mg.GaussianDist([0.0, 0.0], matrix),
+        lambda: mg.GaussianDist([bad, 0.0], np.eye(2)),
+        lambda: mg.GaussianDist.from_precision([0.0, 0.0], matrix),
+        lambda: mg.GaussianDist.from_precision([0.0, bad], np.eye(2)),
+        lambda: mg.QuadraticEnergy(matrix, [0.0, 0.0]),
+        lambda: mg.QuadraticEnergy(np.eye(2), [bad, 0.0]),
+        lambda: mg.QuadraticEnergy(np.eye(2), [0.0, 0.0], bad),
+    ]
+    for build in constructions:
+        with pytest.raises(NumericalGuard, match="finite"):
+            build()
+
+
+def test_guards_raise_a_typed_value_error():
+    assert issubclass(NumericalGuard, ValueError)
+    for cov in ([[1.0, 0.5], [0.2, 1.0]], [[1.0, 2.0], [2.0, 1.0]], np.diag([1e-30, 1.0])):
+        with pytest.raises(NumericalGuard):  # asymmetric, indefinite, pivot below the floor
+            mg.GaussianDist([0.0, 0.0], cov)
 
 
 @pytest.fixture
@@ -116,6 +143,12 @@ def test_marginalize():
     assert np.allclose(m.cov, g.cov[:2, :2])
     with pytest.raises(EmptyKeepSet):
         mg.marginalize(g, part, 0)
+
+
+def test_block_sizes_must_be_integral():
+    with pytest.raises(ValueError, match=r"block sizes must be integers, got \(1\.9, 2\)"):
+        mg.BlockPartition((1.9, 2))
+    assert mg.BlockPartition((np.int32(2), 1.0)).block_sizes == (2, 1)
 
 
 def test_scale_marginals():

@@ -24,8 +24,11 @@ def test_schedule_validation():
         ms.TemperatureSchedule(1.0, (0.0, 1.0))
     with pytest.raises(ValueError):
         ms.TemperatureSchedule(1.0, (1.0, -0.5))
+    for lam in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            ms.TemperatureSchedule(lam, (1.0,))
     sched = ms.TemperatureSchedule(2.0, (1.0, 0.0, 2.0))
-    assert sched.tilt_index(2) == 1.0  # zero sigma short-circuits
+    assert sched.tilt_index(2) == 1.0  # zero sigma: exactly one, a pass-through
     assert sched.tilt_index(3) == pytest.approx(1.0 / 3.0)
     with pytest.raises(ValueError):
         sched.tilt_index(1)
@@ -266,6 +269,37 @@ def test_alpha_zero_returns_gibbs_object():
     sched = ms.alpha_schedule(0.0, 0.1, 2)
     out = ms.solve_mt(gibbs, prior, sched, backend)
     assert out is gibbs
+
+
+def test_untraced_single_scale_solve_does_not_coarse_grain(monkeypatch):
+    rng = np.random.default_rng(13)
+    space = mt.ProductSpace((2, 3, 2))
+    f = mt.EnergyTable(space, rng.uniform(-1.0, 1.0, space.size))
+    q = random_dist(space, rng)
+    part = mg.BlockPartition((2, 1, 2))
+    prior = mg.GaussianDist(np.zeros(part.total_dim), 0.3 * np.eye(part.total_dim))
+    energy = mg.QuadraticEnergy(random_pd(part.total_dim, rng), rng.standard_normal(part.total_dim))
+    problems = [
+        (ms.TabularBackend.decimation(space, 3), f, q, lambda d: d.probs),
+        (ms.GaussianBackend(part), energy, prior, lambda d: np.append(d.mean, d.cov)),
+    ]
+    calls = []
+    for module, name in ((mt, "pushforward"), (mg, "marginalize")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real: calls.append(a) or real(*a))
+    # sigma_2 = 1e-17 rounds its tilt index to exactly one: a pass-through too
+    for sched in (ms.alpha_schedule(0.0, 0.7, 3), ms.TemperatureSchedule(1.3, (0.7, 1e-17, 0.0))):
+        assert sched.tilt_index(2) == sched.tilt_index(3) == 1.0
+        for backend, f, q, values in problems:
+            beta = 1.0 / (sched.lam * sched.sigma[0])
+            gibbs = backend.initial_gibbs(f, q, beta)
+            assert ms.solve_mt(gibbs, q, sched, backend) is gibbs
+            out = ms.solve_min_relative_entropy(f, q, sched, backend)
+            assert np.array_equal(values(out), values(gibbs))
+            out = ms.solve_max_entropy(f, sched, backend)
+            initial = backend.initial_max_entropy(f, sched.lam / sched.sigma[0])
+            assert np.array_equal(values(out), values(initial))
+    assert calls == []
 
 
 def test_depth_mismatch_raises():

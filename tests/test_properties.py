@@ -75,12 +75,27 @@ def tabular_problems(draw, positive_q):
     return f, mt.TabularDist.from_weights(space, q), sched, chain
 
 
+def same_dist(a, b):
+    if isinstance(b, mt.TabularDist):
+        return np.array_equal(a.probs, b.probs)
+    return np.array_equal(a.mean, b.mean) and np.array_equal(a.cov, b.cov)
+
+
+def traced(solve, *args):
+    """``solve(*args)`` with its trace, checked against the untraced solve, which
+    stops at the deepest reweighted scale."""
+    solution, trace = solve(*args, with_trace=True)
+    assert same_dist(solve(*args), solution)
+    assert len(trace.refined) == len(trace.renormalized)
+    assert trace.refined[0] is solution
+    assert trace.refined[-1] is trace.renormalized[-1]
+    return solution, trace
+
+
 def solves(f, q, sched, chain):
     backend = ms.TabularBackend(chain)
-    yield "max-entropy", ms.solve_max_entropy(f, sched, backend, with_trace=True)
-    yield "min-relative-entropy", ms.solve_min_relative_entropy(
-        f, q, sched, backend, with_trace=True
-    )
+    yield "max-entropy", traced(ms.solve_max_entropy, f, sched, backend)
+    yield "min-relative-entropy", traced(ms.solve_min_relative_entropy, f, q, sched, backend)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=100)
@@ -127,13 +142,11 @@ def gaussian_problems(draw):
 def test_gaussian_refinement_consistency(problem, ridge):
     energy, prior, sched, partition = problem
     backend = ms.GaussianBackend(partition)
-    solution, trace = ms.solve_min_relative_entropy(
-        energy, prior, sched, backend, with_trace=True
-    )
+    solution, trace = traced(ms.solve_min_relative_entropy, energy, prior, sched, backend)
     assert ms.gaussian_refinement_gap(solution, trace, partition) <= TOL.refinement_consistency
     # entropy maximization needs a strictly positive-definite energy
     strict = mg.QuadraticEnergy(energy.K + ridge * np.eye(energy.dim), energy.g)
-    solution, trace = ms.solve_max_entropy(strict, sched, backend, with_trace=True)
+    solution, trace = traced(ms.solve_max_entropy, strict, sched, backend)
     assert ms.gaussian_refinement_gap(solution, trace, partition) <= TOL.refinement_consistency
 
 

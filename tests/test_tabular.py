@@ -32,6 +32,25 @@ def test_space_validation():
         mt.ProductSpace((101, 101, 101))  # over the 1e6 cap
 
 
+def test_space_sizes_must_be_integral():
+    with pytest.raises(ValueError, match=r"integers, got \(2, 2\.9\)"):
+        mt.ProductSpace((2, 2.9))
+    with pytest.raises(ValueError, match=r"integers, got \(2, '2'\)"):
+        mt.ProductSpace((2, "2"))
+    space = mt.ProductSpace((np.int64(2), 3.0))
+    assert space.axis_sizes == (2, 3) and all(type(s) is int for s in space.axis_sizes)
+
+
+def test_scale_map_entries_must_be_integral():
+    source, target = mt.ProductSpace((4,)), mt.ProductSpace((2,))
+    for entries, bad in (([0.9, 1.7, 0.2, 1.0], "0.9"), ([0, 1, np.nan, 1], "nan"),
+                         (["0", "1", "0", "1"], "'0'")):
+        with pytest.raises(ValueError, match=f"map entries must be integers, got {bad}"):
+            mt.ScaleMap(source, target, entries)
+    for entries in ([0, 1, 0, 1.0], np.array([0, 1, 0, 1], dtype=np.uint8)):
+        assert mt.ScaleMap(source, target, entries).map.tolist() == [0, 1, 0, 1]
+
+
 def test_dist_validation():
     s = mt.ProductSpace((2,))
     with pytest.raises(ValueError):
