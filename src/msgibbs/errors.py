@@ -46,7 +46,7 @@ class NonpositiveTheta(MsgibbsError):
 
 
 class NumericalGuard(MsgibbsError, ValueError):
-    """A Gaussian input or intermediate is non-finite, asymmetric or not positive definite."""
+    """A numerical input or intermediate is non-finite, asymmetric or not positive definite."""
 
 
 class IndefinitePosterior(MsgibbsError):

@@ -362,6 +362,8 @@ def gibbs_gaussian(energy, prior, beta):
     beta = float(beta)
     if beta <= 0.0:
         raise ValueError(f"inverse temperature must be > 0, got {beta}")
+    if not math.isfinite(beta):
+        raise NumericalGuard(f"inverse temperature must be finite, got beta = {beta}")
     if energy.dim != prior.dim:
         raise DimensionMismatch(
             f"energy dim {energy.dim} differs from prior dim {prior.dim}"

@@ -5,7 +5,7 @@ A single algorithm body serves both backends:
 1. start from the microscopic Gibbs distribution at the finest scale,
 2. repeatedly coarse-grain and renormalize (scale, or tilt toward the reference
    coarse-grained in lock-step) with exponent ``(s_1+...+s_{i-1}) / (s_1+...+s_i)``,
-3. refine back down by composing the intermediate conditionals.
+3. refine back down, conditioning each scale on its coarse image from step 2 (pre-reweighting).
 
 Steps past the deepest one whose tilt exponent is below one are pure
 pass-throughs and are not computed, so single-scale schedules return the
@@ -145,8 +145,8 @@ class TabularBackend:
     def tilt(self, dist, reference, theta):
         return mt.tilt(dist, reference, theta)
 
-    def refine_step(self, coarse_dist, finer, step):
-        cond = mt.reverse_conditional(finer, self.chain[step])
+    def refine_step(self, coarse_dist, finer, image, step):
+        cond = mt.reverse_conditional(finer, self.chain[step], image)
         return mt.refine(coarse_dist, [cond])
 
 
@@ -189,7 +189,7 @@ class GaussianBackend:
     def tilt(self, dist, reference, theta):
         return mg.tilt_gaussian(dist, reference, theta)
 
-    def refine_step(self, coarse_dist, finer, step):
+    def refine_step(self, coarse_dist, finer, image, step):
         return mg.concat(coarse_dist, finer)
 
 
@@ -224,10 +224,11 @@ def _renormalize_and_refine(initial, sched, backend, q, with_trace):
     d = sched.depth
     check_depth(backend, d)
     top = max((i for i in range(2, d + 1) if sched.tilt_index(i) < 1.0), default=1)
-    renormalized = [initial]
+    renormalized, images = [initial], []
     reference = q
     for i in range(2, (d if with_trace else top) + 1):
         u_i = backend.coarse_grain(renormalized[-1], i - 2)
+        images.append(u_i)
         if q is not None and i <= top:
             reference = backend.coarse_grain(reference, i - 2)
         tau = sched.tilt_index(i)
@@ -237,7 +238,7 @@ def _renormalize_and_refine(initial, sched, backend, q, with_trace):
     result = renormalized[top - 1]
     refined = [result]
     for step in range(top - 2, -1, -1):
-        result = backend.refine_step(result, renormalized[step], step)
+        result = backend.refine_step(result, renormalized[step], images[step], step)
         refined.append(result)
     if with_trace:
         refined = tuple(reversed(refined)) + tuple(renormalized[top:])

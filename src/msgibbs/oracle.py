@@ -41,8 +41,8 @@ MAX_ORACLE_STATES = 4096
 
 
 def _composed_maps(space, chain):
-    """Per-scale joint-index -> scale-index arrays (scale 1 is the identity)."""
-    comps = [np.arange(space.size)]
+    """Per-scale joint-index -> scale-index arrays (scale 1 is the identity, ``slice(None)``)."""
+    comps = [slice(None)]
     sizes = [space.size]
     for t in chain:
         comps.append(t.map[comps[-1]])
@@ -86,8 +86,8 @@ def minimize_tabular(objective, f, q, sched, chain, settings=None):
     log_q_scales = None
     if use_reference:
         log_q_scales = []
-        for comp, size in zip(comps, sizes):
-            marg = np.bincount(comp, weights=q.probs, minlength=size)
+        for i, (comp, size) in enumerate(zip(comps, sizes)):
+            marg = q.probs if i == 0 else np.bincount(comp, weights=q.probs, minlength=size)
             # an empty fiber has no mass under p or q and must add 0, not 0 * inf
             log_q_scales.append(np.log(np.maximum(marg, TOL.oracle_log_floor)))
 
@@ -102,15 +102,15 @@ def minimize_tabular(objective, f, q, sched, chain, settings=None):
         for i in range(sched.depth):
             if sigma[i] == 0.0:
                 continue
-            marg = np.bincount(comps[i], weights=p, minlength=sizes[i])
+            marg = p if i == 0 else np.bincount(comps[i], weights=p, minlength=sizes[i])
             log_marg = np.log(np.maximum(marg, TOL.oracle_log_floor))
             if use_reference:
                 log_ratio = log_marg - log_q_scales[i]
                 value += lam * sigma[i] * float(marg @ log_ratio)
-                grad += lam * sigma[i] * (log_ratio[comps[i]] + 1.0)
+                grad += (lam * sigma[i] * (log_ratio + 1.0))[comps[i]]
             else:
                 value += sigma[i] * float(marg @ log_marg)
-                grad += sigma[i] * (log_marg[comps[i]] + 1.0)
+                grad += (sigma[i] * (log_marg + 1.0))[comps[i]]
         return value, grad
 
     log_p = np.full(space.size, -math.log(space.size))

@@ -15,6 +15,7 @@ from .errors import (
     EmptyGeometricMean,
     InvalidOrder,
     NonpositiveTheta,
+    NumericalGuard,
     SpaceMismatch,
     UndefinedConditionalRow,
     VanishingPartitionFunction,
@@ -71,24 +72,35 @@ class TabularDist:
     __slots__ = ("space", "probs")
 
     def __init__(self, space, probs):
-        probs = _readonly(probs)
+        self._keep(space, _readonly(probs))
+
+    @classmethod
+    def _adopt(cls, space, probs):
+        """Distribution that takes over ``probs``, a fresh 1-D float array, without a copy."""
+        probs.setflags(write=False)
+        return cls.__new__(cls)._keep(space, probs)
+
+    def _keep(self, space, probs):
         if probs.shape != (space.size,):
             raise SpaceMismatch(
                 f"probs has length {probs.size}, space has {space.size} states"
             )
-        if not np.all(np.isfinite(probs)):
+        with np.errstate(over="ignore", invalid="ignore"):  # both caught just below
+            total = float(probs.sum())
+        # a finite sum has finite terms, so only a non-finite one needs the scan
+        if not math.isfinite(total) and not np.all(np.isfinite(probs)):
             raise ValueError("probabilities must be finite")
         if probs.min(initial=0.0) < 0.0:
             raise ValueError("probabilities must be nonnegative")
-        total = float(probs.sum())
         if abs(total - 1.0) > TOL.normalization:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         self.space = space
         self.probs = probs
+        return self
 
     @classmethod
     def uniform(cls, space):
-        return cls(space, np.full(space.size, 1.0 / space.size))
+        return cls._adopt(space, np.full(space.size, 1.0 / space.size))
 
     @classmethod
     def from_weights(cls, space, weights):
@@ -97,7 +109,7 @@ class TabularDist:
         total = w.sum()
         if not total > 0.0:
             raise ValueError("weights must have positive total mass")
-        return cls(space, w / total)
+        return cls._adopt(space, w / total)
 
     def to_json(self):
         return {"axis_sizes": list(self.space.axis_sizes), "probs": self.probs.tolist()}
@@ -154,7 +166,8 @@ class ScaleMap:
 
 
 class ConditionalTable:
-    """Reverse conditional of ``p`` along the scale map ``t``, both checked already.
+    """Reverse conditional of ``p`` along the scale map ``t``, both checked already;
+    the fiber masses come from ``image``, which must be ``pushforward(p, t)``.
 
     Row j, over ``output_space`` (t's source) given state j of ``given_space``
     (t's target), is p on the fiber of j, renormalized.  Output state i lies in
@@ -164,12 +177,13 @@ class ConditionalTable:
 
     __slots__ = ("given_space", "output_space", "map", "probs", "defined")
 
-    def __init__(self, p, t):
+    def __init__(self, p, t, image):
         if t.source.axis_sizes != p.space.axis_sizes:
             raise SpaceMismatch("scale map source differs from the distribution's space")
-        mass = np.bincount(t.map, weights=p.probs, minlength=t.target.size)
-        defined = mass > TOL.conditional_row_mass
-        probs = np.divide(p.probs, mass[t.map], out=np.zeros(t.source.size), where=defined[t.map])
+        defined = image.probs > TOL.conditional_row_mass
+        fiber_mass = image.probs[t.map]
+        probs = np.divide(p.probs, fiber_mass, out=np.zeros(t.source.size),
+                          where=fiber_mass > TOL.conditional_row_mass)
         probs.setflags(write=False)
         defined.setflags(write=False)
         self.given_space = t.target
@@ -250,12 +264,14 @@ def renyi_divergence(q, r, order):
 
 
 def _from_log_weights(space, logw, error):
-    """Distribution proportional to ``exp(logw)``; raises ``error`` if no weight is finite."""
+    """Distribution proportional to ``exp(logw)``, built in place in ``logw``, which it
+    takes over; raises ``error`` if no weight is finite."""
     peak = logw.max()
     if not np.isfinite(peak):
         raise error
-    w = np.exp(logw - peak)
-    return TabularDist(space, w / w.sum())
+    np.exp(np.subtract(logw, peak, out=logw), out=logw)
+    logw /= logw.sum()
+    return TabularDist._adopt(space, logw)
 
 
 def scale(p, theta):
@@ -284,7 +300,8 @@ def tilt(p, q, theta):
     if theta == 0.0:
         return q
     with np.errstate(divide="ignore"):
-        logw = theta * np.log(p.probs) + (1.0 - theta) * np.log(q.probs)
+        logw = theta * np.log(p.probs)
+        logw += (1.0 - theta) * np.log(q.probs)
     disjoint = EmptyGeometricMean("supports of p and q do not intersect")
     return _from_log_weights(p.space, logw, disjoint)
 
@@ -295,6 +312,8 @@ def gibbs(f, q, beta):
     beta = float(beta)
     if beta <= 0.0:
         raise ValueError(f"inverse temperature must be > 0, got {beta}")
+    if not math.isfinite(beta):
+        raise NumericalGuard(f"inverse temperature must be finite, got beta = {beta}")
     with np.errstate(divide="ignore"):
         logw = -beta * f.values + np.log(q.probs)
     empty = VanishingPartitionFunction("no state carries finite weight")
@@ -306,15 +325,13 @@ def pushforward(p, t):
     if t.source.axis_sizes != p.space.axis_sizes:
         raise SpaceMismatch("scale map source differs from the distribution's space")
     out = np.bincount(t.map, weights=p.probs, minlength=t.target.size)
-    return TabularDist(t.target, out)
+    return TabularDist._adopt(t.target, out)
 
 
-def reverse_conditional(p, t):
-    """Conditional of ``p`` given its image under ``t`` (Bayes inversion).
-
-    Returns ``ConditionalTable(p, t)``; see there for its rows.
-    """
-    return ConditionalTable(p, t)
+def reverse_conditional(p, t, image=None):
+    """Conditional of ``p`` given its image under ``t`` (Bayes inversion): the
+    ``ConditionalTable(p, t, image)``, where ``image`` defaults to ``pushforward(p, t)``."""
+    return ConditionalTable(p, t, pushforward(p, t) if image is None else image)
 
 
 def refine(coarsest, conditionals):
@@ -335,7 +352,7 @@ def refine(coarsest, conditionals):
             raise UndefinedConditionalRow(
                 f"conditioning state {j} has mass {current.probs[j]!r} but no defined row"
             )
-        current = TabularDist(cond.output_space, current.probs[cond.map] * cond.probs)
+        current = TabularDist._adopt(cond.output_space, current.probs[cond.map] * cond.probs)
     return current
 
 

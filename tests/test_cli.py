@@ -44,6 +44,16 @@ def test_solve_tabular_partial_schedule_golden(tmp_path):
     assert json.loads(out.read_text())["verified"] is True
 
 
+def test_solve_tabular_depth4_mt_golden(tmp_path):
+    # a seeded 4^4 mt problem of depth 4: multi-level refinement and the oracle's
+    # coarse scales, which binary3 (depth 2) never reaches
+    out = tmp_path / "out.json"
+    config = GOLDEN / "solve_tabular_mt_4x4x4x4.config.json"
+    assert run(["solve-tabular", "--verify", "--config", str(config), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "solve_tabular_mt_4x4x4x4.json").read_bytes()
+    assert json.loads(out.read_text())["verified"] is True
+
+
 def _assert_report_matches(got, want, path="$"):
     """Keys and strings equal; floats equal within a relative 1e-10.
 
@@ -499,6 +509,19 @@ def test_failed_guard_during_a_solve_prints_one_error_line(tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "pivot" in lines[0]
+
+
+@pytest.mark.parametrize("algorithm", ["max-entropy", "min-rel-entropy", "mt"])
+def test_overflowing_inverse_temperature_prints_one_error_line(tmp_path, capsys, algorithm):
+    # a subnormal sigma_1 overflows lambda / sigma_1 (and 1 / (lambda sigma_1)) to inf
+    cfg = json.loads((CONFIGS / "solve_tabular_binary3.json").read_text())
+    cfg.update(sigma=[1e-320, 0.5], algorithm=algorithm)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["solve-tabular", "--config", str(path)]) == cli.EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: inverse temperature must be finite, got beta = inf"]
 
 
 def test_alpha_schedule_config_takes_an_integral_depth(tmp_path):

@@ -57,6 +57,14 @@ def test_non_finite_inputs_raise_a_numerical_guard(bad):
             build()
 
 
+def test_gibbs_gaussian_needs_a_finite_inverse_temperature():
+    energy = mg.QuadraticEnergy(np.eye(2), [0.0, 0.0])
+    prior = mg.GaussianDist([0.0, 0.0], np.eye(2))
+    for beta in (math.inf, math.nan):
+        with pytest.raises(NumericalGuard, match=f"must be finite, got beta = {beta}"):
+            mg.gibbs_gaussian(energy, prior, beta)
+
+
 def test_guards_raise_a_typed_value_error():
     assert issubclass(NumericalGuard, ValueError)
     for cov in ([[1.0, 0.5], [0.2, 1.0]], [[1.0, 2.0], [2.0, 1.0]], np.diag([1e-30, 1.0])):

@@ -11,6 +11,7 @@ from msgibbs.errors import (
     EmptyGeometricMean,
     InvalidOrder,
     NonpositiveTheta,
+    NumericalGuard,
     SpaceMismatch,
     UndefinedConditionalRow,
     VanishingPartitionFunction,
@@ -60,6 +61,51 @@ def test_dist_validation():
     d = mt.TabularDist(s, [0.25, 0.75])
     with pytest.raises(ValueError):
         d.probs[0] = 1.0  # frozen storage
+
+
+@pytest.mark.parametrize(
+    "probs, message",
+    [
+        ([math.nan, 1.0], "probabilities must be finite"),
+        ([math.inf, 0.0], "probabilities must be finite"),
+        ([math.inf, -math.inf], "probabilities must be finite"),
+        ([-math.inf, 1.0], "probabilities must be finite"),
+        ([1.5, -0.5], "probabilities must be nonnegative"),
+        ([1e308, 1e308], "probabilities sum to inf, not 1"),
+    ],
+)
+def test_dist_validation_messages(probs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        mt.TabularDist(mt.ProductSpace((2,)), probs)
+
+
+def test_dist_copies_the_callers_array_and_library_results_are_frozen():
+    s = mt.ProductSpace((2, 2))
+    given = np.array([0.1, 0.2, 0.3, 0.4])
+    p = mt.TabularDist(s, given)
+    given[0] = 0.7
+    assert p.probs.tolist() == [0.1, 0.2, 0.3, 0.4] and given.flags.writeable
+    t = mt.ScaleMap.decimation(s)
+    q = mt.TabularDist.uniform(s)
+    built = [
+        q,
+        mt.TabularDist.from_weights(s, given),
+        mt.pushforward(p, t),
+        mt.refine(mt.pushforward(q, t), [mt.reverse_conditional(p, t)]),
+        mt.scale(p, 2.0),
+        mt.tilt(p, q, 0.5),
+        mt.gibbs(mt.EnergyTable(s, given), q, 1.0),
+    ]
+    for dist in built:
+        assert not dist.probs.flags.writeable
+
+
+def test_gibbs_needs_a_finite_inverse_temperature():
+    s = mt.ProductSpace((2,))
+    f, q = mt.EnergyTable(s, [0.1, 0.3]), mt.TabularDist.uniform(s)
+    for beta in (math.inf, math.nan):
+        with pytest.raises(NumericalGuard, match=f"must be finite, got beta = {beta}"):
+            mt.gibbs(f, q, beta)
 
 
 def test_shannon_entropy():
@@ -275,6 +321,8 @@ def test_conditional_rows_match_fibers():
 
     # the one construction path: t's map is shared, the derived arrays are frozen
     assert cond.map is t.map
+    given = mt.reverse_conditional(p, t, mt.pushforward(p, t))  # an image held already
+    assert np.array_equal(given.probs, cond.probs) and np.array_equal(given.defined, cond.defined)
     assert cond.given_space is target and cond.output_space is source
     for arr in (cond.probs, cond.defined):
         assert not arr.flags.writeable
