@@ -202,14 +202,12 @@ def cmd_solve_gaussian(args):
 
     if algorithm == "max-entropy":
         solution, trace = ms.solve_max_entropy(energy, sched, backend, with_trace=True)
-        objective = ms.gaussian_max_entropy_objective(solution, energy, sched, partition)
+        objective = ms.max_entropy_objective(solution, energy, sched, partition)
     else:
         solution, trace = ms.solve_min_relative_entropy(
             energy, prior, sched, backend, with_trace=True
         )
-        objective = ms.gaussian_min_relative_entropy_objective(
-            solution, energy, prior, sched, partition
-        )
+        objective = ms.min_relative_entropy_objective(solution, energy, prior, sched, partition)
 
     report = {"solution": solution.to_json(partition), "objective": objective}
     if args.verify:

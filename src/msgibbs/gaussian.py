@@ -232,7 +232,8 @@ class QuadraticEnergy:
         return self.g + self.K @ w
 
 
-def _require_cover(partition, g):
+def require_cover(partition, g):
+    """Raise :class:`DimensionMismatch` unless ``partition`` covers ``g``'s coordinates."""
     if partition.total_dim != g.dim:
         raise DimensionMismatch(
             f"partition covers {partition.total_dim} dims, distribution has {g.dim}"
@@ -243,7 +244,7 @@ def marginalize(g, partition, keep_blocks):
     """Marginal over the first ``keep_blocks`` blocks of the partition."""
     if keep_blocks < 1:
         raise EmptyKeepSet("must keep at least one block")
-    _require_cover(partition, g)
+    require_cover(partition, g)
     k = partition.leading_dim(keep_blocks)
     return GaussianDist(g.mean[:k], g.cov[:k, :k])
 
@@ -255,13 +256,13 @@ def scale_marginals(g, partition):
     ``g`` itself.  Raises :class:`DimensionMismatch` unless the partition
     covers ``g``.
     """
-    _require_cover(partition, g)
+    require_cover(partition, g)
     return [g] + [marginalize(g, partition, keep) for keep in range(partition.n_blocks - 1, 0, -1)]
 
 
 def condition(g, partition, given_blocks):
     """Conditional of the trailing blocks given the leading ``given_blocks`` blocks."""
-    _require_cover(partition, g)
+    require_cover(partition, g)
     if not 1 <= given_blocks < partition.n_blocks:
         raise EmptyKeepSet("both sides of the split must be nonempty")
     k = partition.leading_dim(given_blocks)
@@ -280,8 +281,10 @@ def condition(g, partition, given_blocks):
 def scale_gaussian(g, theta):
     """Escort of a Gaussian density: same mean, covariance divided by theta."""
     theta = float(theta)
-    if theta <= 0.0:
+    if not theta > 0.0:
         raise NonpositiveTheta(f"scaling exponent must be > 0, got {theta}")
+    if theta == math.inf:
+        raise NumericalGuard(f"scaling exponent must be finite, got theta = {theta}")
     return GaussianDist(g.mean, g.cov / theta)
 
 

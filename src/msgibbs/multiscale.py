@@ -1,4 +1,4 @@
-"""Renormalization-style solvers for multiscale entropy objectives.
+"""Multiscale entropy objectives and the renormalization-style solvers that optimize them.
 
 A single algorithm body serves both backends:
 
@@ -30,10 +30,10 @@ __all__ = [
     "solve_max_entropy",
     "solve_min_relative_entropy",
     "solve_mt",
+    "multiscale_entropy",
+    "multiscale_relative_entropy",
     "max_entropy_objective",
     "min_relative_entropy_objective",
-    "gaussian_max_entropy_objective",
-    "gaussian_min_relative_entropy_objective",
     "gaussian_refinement_gap",
 ]
 
@@ -88,10 +88,10 @@ def alpha_schedule(alpha, sigma1, d):
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
     if not sigma1 > 0.0:
         raise ValueError(f"sigma1 must be > 0, got {sigma1}")
-    if d < 1:
-        raise ValueError(f"depth must be >= 1, got {d}")
+    if not (float(d).is_integer() and d >= 1):
+        raise ValueError(f"depth d must be an integer >= 1, got {d!r}")
     sigma = [float(sigma1)]
-    for i in range(2, d + 1):
+    for i in range(2, int(d) + 1):
         sigma.append(alpha * sigma1 * (1.0 - alpha) ** (-(i - 1)))
     return TemperatureSchedule(1.0, tuple(sigma))
 
@@ -108,6 +108,10 @@ def _drops_last_axis(t):
 
 class TabularBackend:
     """Tabular distributions coarse-grained along an explicit scale-map chain."""
+
+    entropy = staticmethod(mt.shannon_entropy)
+    divergence = staticmethod(mt.kl)
+    expectation = staticmethod(lambda p, f: float(p.probs @ f.values))
 
     def __init__(self, chain):
         chain = list(chain)
@@ -129,6 +133,12 @@ class TabularBackend:
     @property
     def depth(self):
         return len(self.chain) + 1
+
+    def check_space(self, dist):
+        """Nothing to check here: a chain's first map checks the space it is applied to."""
+
+    def scale_marginals(self, p):
+        return mt.scale_marginals(p, self.chain)
 
     def initial_max_entropy(self, f, beta):
         return mt.gibbs(f, mt.TabularDist.uniform(f.space), beta)
@@ -157,6 +167,9 @@ class GaussianBackend:
     """
 
     is_decimation = True
+    entropy = staticmethod(mg.differential_entropy)
+    divergence = staticmethod(mg.kl_gaussian)
+    expectation = staticmethod(mg.expected_quadratic)
 
     def __init__(self, partition):
         self.partition = partition
@@ -164,6 +177,12 @@ class GaussianBackend:
     @property
     def depth(self):
         return self.partition.n_blocks
+
+    def check_space(self, dist):
+        mg.require_cover(self.partition, dist)
+
+    def scale_marginals(self, p):
+        return mg.scale_marginals(p, self.partition)
 
     def initial_max_entropy(self, f, beta):
         # density proportional to exp(-beta f); requires strictly PD K
@@ -223,6 +242,7 @@ def _renormalize_and_refine(initial, sched, backend, q, with_trace):
     """
     d = sched.depth
     check_depth(backend, d)
+    backend.check_space(initial)
     top = max((i for i in range(2, d + 1) if sched.tilt_index(i) < 1.0), default=1)
     renormalized, images = [initial], []
     reference = q
@@ -270,48 +290,47 @@ def solve_mt(gibbs_dist, q, sched, backend, with_trace=False):
     """Marginalize-tilt solver starting from a precomputed microscopic Gibbs.
 
     Identical to :func:`solve_min_relative_entropy` on decimation chains;
-    only decimation backends are accepted.
+    only decimation backends are accepted.  States where a tabular ``gibbs_dist``
+    underflowed to zero stay at zero: no tilt can bring them back.
     """
     if not backend.is_decimation:
         raise SpaceMismatch("marginalize-tilt requires a decimation backend")
     return _renormalize_and_refine(gibbs_dist, sched, backend, q, with_trace)
 
 
-def max_entropy_objective(p, f, sched, chain):
-    """Multiscale Shannon entropy minus lam * E[f] (to be maximized)."""
-    expected = float(p.probs @ f.values)
-    return mt.multiscale_shannon_entropy(p, sched, chain) - sched.lam * expected
+def _backend_type(scales):
+    """The backend class of ``scales``: Gaussian for a ``BlockPartition``, else tabular."""
+    return GaussianBackend if isinstance(scales, mg.BlockPartition) else TabularBackend
 
 
-def min_relative_entropy_objective(p, f, q, sched, chain):
+def multiscale_entropy(p, sched, scales):
+    """Sum of sigma_i * H(p at scale i) over a ``ScaleMap`` chain (Shannon entropy) or
+    the decimation prefixes of a ``BlockPartition`` (differential entropy)."""
+    backend = _backend_type(scales)(scales)
+    check_depth(backend, sched.depth)
+    marginals = zip(sched.sigma, backend.scale_marginals(p))
+    return sum(s * backend.entropy(p_i) for s, p_i in marginals if s > 0.0)
+
+
+def multiscale_relative_entropy(p, q, sched, scales):
+    """Sum of sigma_i * D(p at scale i || q at scale i), skipping the scales with
+    sigma_i = 0: ``sigma = (1, 0, ..., 0)`` gives exactly D(p || q)."""
+    backend = _backend_type(scales)(scales)
+    check_depth(backend, sched.depth)
+    marginals = zip(sched.sigma, backend.scale_marginals(p), backend.scale_marginals(q))
+    return sum(s * backend.divergence(p_i, q_i) for s, p_i, q_i in marginals if s > 0.0)
+
+
+def max_entropy_objective(p, f, sched, scales):
+    """Multiscale entropy minus lam * E[f] (to be maximized)."""
+    expected = _backend_type(scales).expectation(p, f)
+    return multiscale_entropy(p, sched, scales) - sched.lam * expected
+
+
+def min_relative_entropy_objective(p, f, q, sched, scales):
     """E[f] plus lam * multiscale relative entropy to q (to be minimized)."""
-    expected = float(p.probs @ f.values)
-    return expected + sched.lam * mt.multiscale_relative_entropy(p, q, sched, chain)
-
-
-def _gaussian_scales(p, sched, partition):
-    """(sigma_i, p at scale i) for the scales with sigma_i > 0, finest first;
-    scales as in :func:`gaussian.scale_marginals`."""
-    check_depth(GaussianBackend(partition), sched.depth)
-    return [(s, p_i) for s, p_i in zip(sched.sigma, mg.scale_marginals(p, partition)) if s > 0.0]
-
-
-def gaussian_max_entropy_objective(p, f, sched, partition):
-    """Gaussian multiscale differential entropy minus lam * E[f] (to be maximized)."""
-    (sigma_1, p_1), *coarser = _gaussian_scales(p, sched, partition)
-    value = sigma_1 * mg.differential_entropy(p_1) - sched.lam * mg.expected_quadratic(p, f)
-    for sigma_i, p_i in coarser:
-        value += sigma_i * mg.differential_entropy(p_i)
-    return value
-
-
-def gaussian_min_relative_entropy_objective(p, f, q, sched, partition):
-    """E[f] plus lam * Gaussian multiscale relative entropy to q (to be minimized)."""
-    value = mg.expected_quadratic(p, f)
-    scales = zip(_gaussian_scales(p, sched, partition), _gaussian_scales(q, sched, partition))
-    for (sigma_i, p_i), (_, q_i) in scales:
-        value += sched.lam * sigma_i * mg.kl_gaussian(p_i, q_i)
-    return value
+    expected = _backend_type(scales).expectation(p, f)
+    return expected + sched.lam * multiscale_relative_entropy(p, q, sched, scales)
 
 
 def gaussian_refinement_gap(p, trace, partition):

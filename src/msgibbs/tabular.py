@@ -277,8 +277,10 @@ def _from_log_weights(space, logw, error):
 def scale(p, theta):
     """Scaled (escort) distribution proportional to ``p ** theta``."""
     theta = float(theta)
-    if theta <= 0.0:
+    if not theta > 0.0:
         raise NonpositiveTheta(f"scaling exponent must be > 0, got {theta}")
+    if theta == math.inf:
+        raise NumericalGuard(f"scaling exponent must be finite, got theta = {theta}")
     with np.errstate(divide="ignore"):
         logw = theta * np.log(p.probs)
     empty = VanishingPartitionFunction("scaled weights carry no finite mass")
@@ -367,27 +369,3 @@ def scale_marginals(p, chain):
         marginals.append(pushforward(marginals[-1], t))
     return marginals
 
-
-def _weighted_scales(p, sched, chain):
-    """(sigma_i, p at scale i) for the scales with sigma_i > 0, finest first."""
-    if len(chain) != len(sched.sigma) - 1:
-        raise SpaceMismatch(
-            f"schedule of depth {len(sched.sigma)} needs {len(sched.sigma) - 1} "
-            f"scale maps, got {len(chain)}"
-        )
-    return [(s, p_i) for s, p_i in zip(sched.sigma, scale_marginals(p, chain)) if s > 0.0]
-
-
-def multiscale_relative_entropy(p, q, sched, chain):
-    """Sum of sigma_i * D(p at scale i || q at scale i) along the chain.
-
-    Zero-weight scales are skipped, so ``sigma = (1, 0, ..., 0)`` reduces
-    exactly to ``kl(p, q)``.
-    """
-    scales = zip(_weighted_scales(p, sched, chain), _weighted_scales(q, sched, chain))
-    return sum(sigma_i * kl(p_i, q_i) for (sigma_i, p_i), (_, q_i) in scales)
-
-
-def multiscale_shannon_entropy(p, sched, chain):
-    """Sum of sigma_i * H(p at scale i) along the chain."""
-    return sum(sigma_i * shannon_entropy(p_i) for sigma_i, p_i in _weighted_scales(p, sched, chain))

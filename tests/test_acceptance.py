@@ -274,7 +274,7 @@ def test_criterion_4_reductions():
         backend = ms.TabularBackend.decimation(space, 3)
         sched = ms.TemperatureSchedule(1.0, (1.0, 0.0, 0.0))
         assert (
-            mt.multiscale_relative_entropy(p, q, sched, backend.chain) == mt.kl(p, q)
+            ms.multiscale_relative_entropy(p, q, sched, backend.chain) == mt.kl(p, q)
         )
 
 

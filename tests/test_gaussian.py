@@ -206,6 +206,11 @@ def test_scale_gaussian():
         assert np.array_equal(back.mean, g.mean)
     with pytest.raises(NonpositiveTheta):
         mg.scale_gaussian(g, -1.0)
+    # NaN is no positive exponent; an infinite one would zero the covariance
+    with pytest.raises(NonpositiveTheta):
+        mg.scale_gaussian(g, math.nan)
+    with pytest.raises(NumericalGuard, match="must be finite, got theta = inf"):
+        mg.scale_gaussian(g, math.inf)
 
 
 def test_scale_gaussian_quadrature_oracle():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from msgibbs import gaussian as mg
 from msgibbs import multiscale as ms
 from msgibbs import oracle as mo
 from msgibbs import tabular as mt
-from msgibbs.errors import SpaceMismatch
+from msgibbs.errors import DimensionMismatch, SpaceMismatch
 
 
 def random_dist(space, rng, low=0.05):
@@ -48,6 +50,11 @@ def test_alpha_schedule():
     assert ms.alpha_schedule(0.3, 1.5, 1).sigma == (1.5,)
     with pytest.raises(ValueError):
         ms.alpha_schedule(1.0, 1.0, 2)
+    # the depth is a count: a whole float is taken, anything else is refused by name
+    assert ms.alpha_schedule(0.5, 1.0, 3.0) == s
+    for d in (2.5, math.nan, math.inf, 0):
+        with pytest.raises(ValueError, match=f"depth d must be an integer >= 1, got {d!r}"):
+            ms.alpha_schedule(0.5, 1e-3, d)
 
 
 def test_single_scale_reductions():
@@ -374,10 +381,10 @@ def test_gaussian_objectives():
     # single-scale schedules reduce to entropy / divergence of the joint
     single = ms.TemperatureSchedule(1.5, (0.8, 0.0, 0.0))
     expected = mg.expected_quadratic(p, energy)
-    assert ms.gaussian_max_entropy_objective(p, energy, single, part) == pytest.approx(
+    assert ms.max_entropy_objective(p, energy, single, part) == pytest.approx(
         0.8 * mg.differential_entropy(p) - 1.5 * expected, abs=1e-12
     )
-    assert ms.gaussian_min_relative_entropy_objective(
+    assert ms.min_relative_entropy_objective(
         p, energy, prior, single, part
     ) == pytest.approx(expected + 1.5 * 0.8 * mg.kl_gaussian(p, prior), abs=1e-12)
     # the solvers' outputs are optima: nearby Gaussians do no better
@@ -386,19 +393,68 @@ def test_gaussian_objectives():
     star_min, trace = ms.solve_min_relative_entropy(
         energy, prior, sched, backend, with_trace=True
     )
-    best_max = ms.gaussian_max_entropy_objective(star_max, energy, sched, part)
-    best_min = ms.gaussian_min_relative_entropy_objective(star_min, energy, prior, sched, part)
+    best_max = ms.max_entropy_objective(star_max, energy, sched, part)
+    best_min = ms.min_relative_entropy_objective(star_min, energy, prior, sched, part)
     for _ in range(50):
         eps = rng.uniform(0.0, 0.1)
         shift = eps * rng.standard_normal(dim)
         spread = eps * random_pd(dim, rng, 0.01)
         p_max = mg.GaussianDist(star_max.mean + shift, star_max.cov + spread)
         p_min = mg.GaussianDist(star_min.mean + shift, star_min.cov + spread)
-        assert ms.gaussian_max_entropy_objective(p_max, energy, sched, part) <= best_max + 1e-10
+        assert ms.max_entropy_objective(p_max, energy, sched, part) <= best_max + 1e-10
         assert (
-            ms.gaussian_min_relative_entropy_objective(p_min, energy, prior, sched, part)
+            ms.min_relative_entropy_objective(p_min, energy, prior, sched, part)
             >= best_min - 1e-10
         )
     assert ms.gaussian_refinement_gap(star_min, trace, part) <= 1e-8
     with pytest.raises(SpaceMismatch):
-        ms.gaussian_max_entropy_objective(p, energy, ms.TemperatureSchedule(1.0, (1.0,)), part)
+        ms.max_entropy_objective(p, energy, ms.TemperatureSchedule(1.0, (1.0,)), part)
+
+
+def test_one_block_gaussian_solves_check_the_cover():
+    # depth 1 coarse-grains nothing, so no marginalize checks the partition on the way
+    rng = np.random.default_rng(13)
+    energy = mg.QuadraticEnergy(random_pd(2, rng), rng.standard_normal(2))
+    prior = mg.GaussianDist(np.zeros(2), random_pd(2, rng, 0.2))
+    backend = ms.GaussianBackend(mg.BlockPartition((3,)))
+    sched = ms.TemperatureSchedule(1.0, (1.0,))
+    gibbs = mg.gibbs_gaussian(energy, prior, 1.0)
+    solves = (
+        lambda: ms.solve_max_entropy(energy, sched, backend),
+        lambda: ms.solve_min_relative_entropy(energy, prior, sched, backend),
+        lambda: ms.solve_mt(gibbs, prior, sched, backend),
+    )
+    for solve in solves:
+        with pytest.raises(DimensionMismatch, match="partition covers 3 dims"):
+            solve()
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_min_relative_entropy_objective_coarse_grains_each_side_once(monkeypatch, depth):
+    # p's and q's marginals are computed once each: 2(d - 1) coarse-grainings per call
+    rng = np.random.default_rng(14)
+    calls = []
+
+    def counted(func):
+        def wrapper(*args):
+            calls.append(func.__name__)
+            return func(*args)
+        return wrapper
+
+    monkeypatch.setattr(mt, "pushforward", counted(mt.pushforward))
+    monkeypatch.setattr(mg, "marginalize", counted(mg.marginalize))
+    sched = ms.TemperatureSchedule(1.0, (1.0,) + (0.5,) * (depth - 1))
+
+    space = mt.ProductSpace((2,) * depth)
+    f = mt.EnergyTable(space, rng.uniform(0.0, 1.0, space.size))
+    p, q = random_dist(space, rng), random_dist(space, rng)
+    chain = ms.TabularBackend.decimation(space, depth).chain
+    ms.min_relative_entropy_objective(p, f, q, sched, chain)
+    assert calls == ["pushforward"] * (2 * (depth - 1))
+
+    calls.clear()
+    part = mg.BlockPartition((1,) * depth)
+    energy = mg.QuadraticEnergy(random_pd(depth, rng), rng.standard_normal(depth))
+    p, q = (mg.GaussianDist(rng.standard_normal(depth), random_pd(depth, rng)) for _ in "pq")
+    ms.min_relative_entropy_objective(p, energy, q, sched, part)
+    assert calls == ["marginalize"] * (2 * (depth - 1))

@@ -14,7 +14,6 @@ from msgibbs.errors import (
     NumericalGuard,
     SpaceMismatch,
     UndefinedConditionalRow,
-    VanishingPartitionFunction,
 )
 from msgibbs.multiscale import TemperatureSchedule
 from msgibbs.tolerances import TOL
@@ -172,9 +171,12 @@ def test_scale():
         assert np.allclose(mt.scale(u, theta).probs, u.probs)
     with pytest.raises(NonpositiveTheta):
         mt.scale(p, 0.0)
-    # an infinite exponent drives every weight to zero: a typed error, not an assert
-    with pytest.raises(VanishingPartitionFunction):
-        mt.scale(u, math.inf)
+    # NaN is no positive exponent; an infinite one is refused before it zeroes every weight
+    with pytest.raises(NonpositiveTheta):
+        mt.scale(p, math.nan)
+    for dist in (p, u):
+        with pytest.raises(NumericalGuard, match="must be finite, got theta = inf"):
+            mt.scale(dist, math.inf)
 
 
 def test_tilt():
@@ -379,17 +381,17 @@ def test_multiscale_entropies():
     q = random_dist(space, rng)
     dec = mt.ScaleMap.decimation(space)
     single = TemperatureSchedule(1.0, (1.0, 0.0))
-    assert mt.multiscale_relative_entropy(p, q, single, [dec]) == mt.kl(p, q)
-    assert mt.multiscale_shannon_entropy(p, single, [dec]) == mt.shannon_entropy(p)
+    assert ms.multiscale_relative_entropy(p, q, single, [dec]) == mt.kl(p, q)
+    assert ms.multiscale_entropy(p, single, [dec]) == mt.shannon_entropy(p)
 
     both = TemperatureSchedule(1.0, (1.0, 1.0))
-    assert mt.multiscale_relative_entropy(p, p, both, [dec]) == 0.0
+    assert ms.multiscale_relative_entropy(p, p, both, [dec]) == 0.0
     expected = mt.kl(p, q) + mt.kl(mt.pushforward(p, dec), mt.pushforward(q, dec))
-    assert mt.multiscale_relative_entropy(p, q, both, [dec]) == pytest.approx(
+    assert ms.multiscale_relative_entropy(p, q, both, [dec]) == pytest.approx(
         expected, abs=1e-14
     )
     expected_h = mt.shannon_entropy(p) + mt.shannon_entropy(mt.pushforward(p, dec))
-    assert mt.multiscale_shannon_entropy(p, both, [dec]) == pytest.approx(
+    assert ms.multiscale_entropy(p, both, [dec]) == pytest.approx(
         expected_h, abs=1e-14
     )
 
