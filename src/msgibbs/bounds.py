@@ -17,7 +17,8 @@ from .errors import (
     NegativeDivergenceInput,
     NonIntegerTeacherDepth,
 )
-from .gaussian import GaussianDist, kl_gaussian, scale_marginals
+from .gaussian import GaussianDist, kl_gaussian
+from .multiscale import scale_marginals
 from .tolerances import TOL
 
 __all__ = [
@@ -89,7 +90,7 @@ def divergence_per_scale(qhat, prior, partition):
     """D(qhat at scale i || prior at scale i) for i = 1..d.
 
     Scale i keeps the leading d-i+1 blocks (decimation; see
-    :func:`gaussian.scale_marginals`).  For a Dirac reference the divergence
+    :func:`multiscale.scale_marginals`).  For a Dirac reference the divergence
     is the sum of the kept layers' log(1/q_k).
     """
     if isinstance(qhat, DiracReference):

@@ -154,6 +154,11 @@ def cmd_solve_tabular(args):
         reference = None
         if algorithm in ("min-rel-entropy", "mt"):
             reference = mt.TabularDist(space, _require(cfg, "reference"))
+            if args.verify and reference.probs.min() <= 0.0:
+                raise ConfigError(
+                    "$.reference: --verify needs a strictly positive reference (the "
+                    "oracle's requirement); use --no-verify"
+                )
 
     if algorithm == "max-entropy":
         solution = ms.solve_max_entropy(energy, sched, backend)
@@ -184,9 +189,10 @@ def cmd_solve_gaussian(args):
         block_sizes = _require(prior_cfg, "block_sizes", "$.prior")
         partition = mg.BlockPartition(_sizes(block_sizes, "$.prior.block_sizes"))
         prior = mg.GaussianDist.from_json(prior_cfg)
+        backend = ms.GaussianBackend(partition)
+        with _config_phase("$.prior.block_sizes"):
+            backend.check_space(prior)
         dim = prior.dim
-        if partition.total_dim != dim:
-            raise ConfigError(f"$.prior.block_sizes: cover {partition.total_dim} of {dim} dims")
         energy_cfg = _require(cfg, "energy")
         energy = mg.QuadraticEnergy(
             np.reshape(_require(energy_cfg, "K", "$.energy"), (dim, dim)),
@@ -197,7 +203,6 @@ def cmd_solve_gaussian(args):
         if algorithm not in ("max-entropy", "min-rel-entropy", "mt"):
             raise ConfigError(f"$.algorithm: unknown {algorithm!r}")
         sched = _schedule_from(cfg)
-        backend = ms.GaussianBackend(partition)
         ms.check_depth(backend, sched.depth)
 
     if algorithm == "max-entropy":
@@ -410,7 +415,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except MsgibbsError as exc:
+    except (MsgibbsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

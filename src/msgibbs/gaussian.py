@@ -249,17 +249,6 @@ def marginalize(g, partition, keep_blocks):
     return GaussianDist(g.mean[:k], g.cov[:k, :k])
 
 
-def scale_marginals(g, partition):
-    """``g`` at every scale of the decimation chain of ``partition``, finest first.
-
-    Scale i of d is the marginal on the leading d-i+1 blocks; scale 1 is
-    ``g`` itself.  Raises :class:`DimensionMismatch` unless the partition
-    covers ``g``.
-    """
-    require_cover(partition, g)
-    return [g] + [marginalize(g, partition, keep) for keep in range(partition.n_blocks - 1, 0, -1)]
-
-
 def condition(g, partition, given_blocks):
     """Conditional of the trailing blocks given the leading ``given_blocks`` blocks."""
     require_cover(partition, g)

@@ -13,6 +13,7 @@ microscopic Gibbs distribution object itself without coarse-graining.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +28,7 @@ __all__ = [
     "GaussianBackend",
     "SolveTrace",
     "check_depth",
+    "scale_marginals",
     "solve_max_entropy",
     "solve_min_relative_entropy",
     "solve_mt",
@@ -119,7 +121,11 @@ class TabularBackend:
             if left.target.axis_sizes != right.source.axis_sizes:
                 raise SpaceMismatch("scale maps do not chain")
         self.chain = chain
-        self.is_decimation = all(map(_drops_last_axis, chain))
+
+    @cached_property
+    def is_decimation(self):
+        """Whether every map drops the last axis of its source (computed on first read)."""
+        return all(map(_drops_last_axis, self.chain))
 
     @classmethod
     def decimation(cls, space, depth):
@@ -136,9 +142,6 @@ class TabularBackend:
 
     def check_space(self, dist):
         """Nothing to check here: a chain's first map checks the space it is applied to."""
-
-    def scale_marginals(self, p):
-        return mt.scale_marginals(p, self.chain)
 
     def initial_max_entropy(self, f, beta):
         return mt.gibbs(f, mt.TabularDist.uniform(f.space), beta)
@@ -163,7 +166,7 @@ class TabularBackend:
 class GaussianBackend:
     """Gaussian distributions under decimation of a block partition.
 
-    Scale i keeps the leading d-i+1 blocks (see :func:`gaussian.scale_marginals`).
+    Scale i keeps the leading d-i+1 blocks (see :func:`scale_marginals`).
     """
 
     is_decimation = True
@@ -180,9 +183,6 @@ class GaussianBackend:
 
     def check_space(self, dist):
         mg.require_cover(self.partition, dist)
-
-    def scale_marginals(self, p):
-        return mg.scale_marginals(p, self.partition)
 
     def initial_max_entropy(self, f, beta):
         # density proportional to exp(-beta f); requires strictly PD K
@@ -303,12 +303,26 @@ def _backend_type(scales):
     return GaussianBackend if isinstance(scales, mg.BlockPartition) else TabularBackend
 
 
+def scale_marginals(p, scales):
+    """``p`` at every scale of a ``ScaleMap`` chain or a ``BlockPartition``, finest first.
+
+    Scale 1 is ``p`` itself; scale i+1 is scale i coarse-grained by the backend's step i
+    (a pushforward along the chain, or the marginal on one block fewer).
+    """
+    backend = _backend_type(scales)(scales)
+    backend.check_space(p)
+    marginals = [p]
+    for step in range(backend.depth - 1):
+        marginals.append(backend.coarse_grain(marginals[-1], step))
+    return marginals
+
+
 def multiscale_entropy(p, sched, scales):
     """Sum of sigma_i * H(p at scale i) over a ``ScaleMap`` chain (Shannon entropy) or
     the decimation prefixes of a ``BlockPartition`` (differential entropy)."""
     backend = _backend_type(scales)(scales)
     check_depth(backend, sched.depth)
-    marginals = zip(sched.sigma, backend.scale_marginals(p))
+    marginals = zip(sched.sigma, scale_marginals(p, scales))
     return sum(s * backend.entropy(p_i) for s, p_i in marginals if s > 0.0)
 
 
@@ -317,7 +331,7 @@ def multiscale_relative_entropy(p, q, sched, scales):
     sigma_i = 0: ``sigma = (1, 0, ..., 0)`` gives exactly D(p || q)."""
     backend = _backend_type(scales)(scales)
     check_depth(backend, sched.depth)
-    marginals = zip(sched.sigma, backend.scale_marginals(p), backend.scale_marginals(q))
+    marginals = zip(sched.sigma, scale_marginals(p, scales), scale_marginals(q, scales))
     return sum(s * backend.divergence(p_i, q_i) for s, p_i, q_i in marginals if s > 0.0)
 
 
@@ -337,7 +351,7 @@ def gaussian_refinement_gap(p, trace, partition):
     """Largest relative precision gap between p's coarse marginals and the
     refined intermediates of ``trace`` (0.0 for a single-scale solve)."""
     worst = 0.0
-    for marg, ref in zip(mg.scale_marginals(p, partition)[1:], trace.refined[1:]):
+    for marg, ref in zip(scale_marginals(p, partition)[1:], trace.refined[1:]):
         gap = np.abs(marg.precision - ref.precision).max()
         worst = max(worst, float(gap / max(1.0, np.abs(ref.precision).max())))
     return worst

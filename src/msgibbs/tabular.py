@@ -356,16 +356,3 @@ def refine(coarsest, conditionals):
             )
         current = TabularDist._adopt(cond.output_space, current.probs[cond.map] * cond.probs)
     return current
-
-
-def scale_marginals(p, chain):
-    """``p`` at every scale of ``chain``, finest first.
-
-    Scale 1 is ``p`` itself; scale i+1 is scale i pushed forward along
-    ``chain[i-1]``.
-    """
-    marginals = [p]
-    for t in chain:
-        marginals.append(pushforward(marginals[-1], t))
-    return marginals
-

@@ -363,6 +363,10 @@ def assert_one_config_error_line(err):
     assert lines[0].count("config error") == 1
 
 
+# the binary3 reference with its first state's mass moved onto the second
+ZERO_REFERENCE = [0.0, 0.30, 0.15, 0.05, 0.125, 0.075, 0.18, 0.12]
+
+
 def binary3_chain(source=(2, 2, 2), target=(2, 2), map_entry=None):
     """Config changes for a 3-entry schedule on an explicit 2-map decimation chain of
     the binary3 space; the arguments replace parts of its first map."""
@@ -490,6 +494,10 @@ def binary3_chain(source=(2, 2, 2), target=(2, 2), map_entry=None):
         ("solve-gaussian", "solve_gaussian_demo.json",
          {"energy": {"K": [2.0, 0.3, 0.1, 0.3, 1.5, 0.0, 0.1, 0.0, 1.0],
                      "g": [0.2, -math.inf, 0.4]}}),
+        # a zero in the reference under the default --verify: the oracle needs a positive one
+        ("solve-tabular", "solve_tabular_binary3.json", {"reference": ZERO_REFERENCE}),
+        ("solve-tabular", "solve_tabular_binary3.json",
+         {"reference": ZERO_REFERENCE, "algorithm": "min-rel-entropy"}),
     ],
 )
 def test_config_errors_print_one_prefixed_line(tmp_path, capsys, command, config_name, change):
@@ -502,6 +510,39 @@ def test_config_errors_print_one_prefixed_line(tmp_path, capsys, command, config
     captured = capsys.readouterr()
     assert captured.out == ""
     assert_one_config_error_line(captured.err)
+
+
+@pytest.mark.parametrize("algorithm", ["max-entropy", "min-rel-entropy", "mt"])
+def test_zero_in_the_reference_needs_no_verify(tmp_path, capsys, algorithm):
+    cfg = json.loads((CONFIGS / "solve_tabular_binary3.json").read_text())
+    cfg.update(reference=ZERO_REFERENCE, algorithm=algorithm)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = str(tmp_path / "out.json")
+    assert run(["solve-tabular", "--no-verify", "--config", str(path), "--out", out]) == 0
+    code = run(["solve-tabular", "--config", str(path), "--out", out])
+    err = capsys.readouterr().err
+    if algorithm == "max-entropy":
+        # max-entropy reads no reference
+        assert code == cli.EXIT_OK and err == ""
+    else:
+        assert code == cli.EXIT_ERROR
+        assert_one_config_error_line(err)
+        assert "$.reference" in err and "--no-verify" in err
+
+
+@pytest.mark.parametrize(
+    "command, config_name",
+    [("solve-tabular", "solve_tabular_binary3.json"), ("experiment", "experiment_smoke.json")],
+)
+def test_unwritable_out_prints_one_error_line(tmp_path, capsys, command, config_name):
+    out = tmp_path / "missing" / "report"
+    argv = [command, "--config", str(CONFIGS / config_name), "--out", str(out)]
+    assert run(argv) == cli.EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(out) in lines[0]
 
 
 def test_failed_guard_during_a_solve_prints_one_error_line(tmp_path, capsys):

@@ -159,24 +159,6 @@ def test_block_sizes_must_be_integral():
     assert mg.BlockPartition((np.int32(2), 1.0)).block_sizes == (2, 1)
 
 
-def test_scale_marginals():
-    rng = np.random.default_rng(21)
-    part = mg.BlockPartition((2, 1, 3))
-    g = random_gaussian(6, rng)
-    scales = mg.scale_marginals(g, part)
-    # finest first: scale 1 is g itself, scale i keeps the leading d - i + 1 blocks
-    assert scales[0] is g
-    assert [s.dim for s in scales] == [6, 3, 2]
-    for s in scales[1:]:
-        assert np.array_equal(s.mean, g.mean[: s.dim])
-        assert np.array_equal(s.cov, g.cov[: s.dim, : s.dim])
-    assert mg.scale_marginals(g, mg.BlockPartition((6,))) == [g]
-    # the partition must cover g, with one block or several
-    for sizes in ((5,), (7,), (2, 3), (2, 1, 3, 1)):
-        with pytest.raises(DimensionMismatch):
-            mg.scale_marginals(g, mg.BlockPartition(sizes))
-
-
 def test_condition():
     # independent blocks: zero gain, own covariance
     cov = np.diag([1.0, 2.0, 3.0])

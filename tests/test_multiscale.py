@@ -370,6 +370,77 @@ def test_is_decimation_derived_from_chain():
             ms.solve_mt(gibbs, q, sched, backend)
 
 
+def test_is_decimation_is_computed_on_first_read(monkeypatch):
+    # building a backend (as every tabular objective call does) checks no map
+    drops_last_axis, calls = ms._drops_last_axis, []
+
+    def counted(t):
+        calls.append(t)
+        return drops_last_axis(t)
+
+    monkeypatch.setattr(ms, "_drops_last_axis", counted)
+    backend = ms.TabularBackend.decimation(mt.ProductSpace((2, 3, 2)), 3)
+    assert calls == []
+    assert backend.is_decimation
+    assert len(calls) == len(backend.chain) == 2
+    assert all(seen is t for seen, t in zip(calls, backend.chain))
+    assert backend.is_decimation
+    assert len(calls) == 2
+
+
+def test_scale_marginals_along_a_chain():
+    rng = np.random.default_rng(23)
+    space = mt.ProductSpace((2, 3, 2))
+    p = random_dist(space, rng)
+    assert ms.scale_marginals(p, []) == [p]
+    dec = mt.ScaleMap.decimation(space)
+    fold = mt.ScaleMap(dec.target, mt.ProductSpace((3,)), [0, 1, 2, 0, 1, 2])
+    scales = ms.scale_marginals(p, [dec, fold])
+    assert scales[0] is p
+    assert np.array_equal(scales[1].probs, mt.pushforward(p, dec).probs)
+    assert np.array_equal(scales[2].probs, mt.pushforward(scales[1], fold).probs)
+    # the first map checks the space it is applied to
+    with pytest.raises(SpaceMismatch):
+        ms.scale_marginals(p, [fold])
+
+
+def test_scale_marginals_of_a_partition():
+    rng = np.random.default_rng(21)
+    part = mg.BlockPartition((2, 1, 3))
+    g = mg.GaussianDist(rng.standard_normal(6), random_pd(6, rng))
+    scales = ms.scale_marginals(g, part)
+    # finest first: scale 1 is g itself, scale i keeps the leading d - i + 1 blocks
+    assert scales[0] is g
+    assert [s.dim for s in scales] == [6, 3, 2]
+    for s in scales[1:]:
+        assert np.array_equal(s.mean, g.mean[: s.dim])
+        assert np.array_equal(s.cov, g.cov[: s.dim, : s.dim])
+    assert ms.scale_marginals(g, mg.BlockPartition((6,))) == [g]
+    # the partition must cover g, with one block or several
+    for sizes in ((5,), (7,), (2, 3), (2, 1, 3, 1)):
+        with pytest.raises(DimensionMismatch):
+            ms.scale_marginals(g, mg.BlockPartition(sizes))
+
+
+@pytest.mark.parametrize("sizes", [(3, 2, 4), (10,) * 4, (1,) * 5, (12,) * 8])
+@pytest.mark.parametrize("built_from", ["covariance", "precision"])
+def test_scale_marginals_equal_the_direct_marginals(sizes, built_from):
+    # one block dropped per step gives the marginal on the leading blocks, bit for bit
+    rng = np.random.default_rng(len(sizes))
+    part = mg.BlockPartition(sizes)
+    mean, matrix = rng.standard_normal(part.total_dim), random_pd(part.total_dim, rng)
+    if built_from == "covariance":
+        g = mg.GaussianDist(mean, matrix)
+    else:
+        g = mg.GaussianDist.from_precision(mean, matrix)
+    scales = ms.scale_marginals(g, part)
+    assert len(scales) == part.n_blocks
+    for keep, s in zip(range(part.n_blocks - 1, 0, -1), scales[1:]):
+        direct = mg.marginalize(g, part, keep)
+        for attr in ("mean", "cov", "chol", "precision"):
+            assert np.array_equal(getattr(s, attr), getattr(direct, attr))
+
+
 def test_gaussian_objectives():
     rng = np.random.default_rng(12)
     part = mg.BlockPartition((1, 2, 1))

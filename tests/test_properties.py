@@ -103,7 +103,7 @@ def solves(f, q, sched, chain):
 def test_scale_marginals_reproduce_refined_trace(problem):
     f, q, sched, chain = problem
     for _, (solution, trace) in solves(f, q, sched, chain):
-        marginals = mt.scale_marginals(solution, chain)
+        marginals = ms.scale_marginals(solution, chain)
         assert len(marginals) == len(trace.refined) == sched.depth
         for marginal, refined in zip(marginals, trace.refined):
             assert mt.total_variation(marginal, refined) <= 1e-10
