@@ -16,6 +16,7 @@ import contextlib
 import dataclasses
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -58,7 +59,9 @@ def _config_phase(path="$"):
         yield
     except ConfigError:
         raise
-    except (MsgibbsError, ValueError, TypeError, KeyError) as exc:
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing key {exc}") from exc
+    except (MsgibbsError, ValueError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -117,8 +120,7 @@ def _csv_line(*values):
 def _schedule_from(cfg, path="$"):
     if "sigma" in cfg:
         lam = _number(cfg.get("lambda", 1.0), f"{path}.lambda")
-        sigma = [_number(s, f"{path}.sigma[{i}]") for i, s in enumerate(cfg["sigma"])]
-        return ms.TemperatureSchedule(lam, tuple(sigma))
+        return ms.TemperatureSchedule(lam, tuple(_list(cfg["sigma"], f"{path}.sigma")))
     if "alpha" in cfg:
         return ms.alpha_schedule(
             _number(cfg["alpha"], f"{path}.alpha"),
@@ -145,9 +147,10 @@ def cmd_solve_tabular(args):
         chain_cfg = cfg.get("chain", "decimation")
         if chain_cfg == "decimation":
             backend = ms.TabularBackend.decimation(space, sched.depth)
+        elif isinstance(chain_cfg, list):
+            backend = ms.TabularBackend(_list(chain_cfg, "$.chain", _scale_map))
         else:
-            maps = [_scale_map(c, f"$.chain[{i}]") for i, c in enumerate(chain_cfg)]
-            backend = ms.TabularBackend(maps)
+            raise ConfigError(f"$.chain: must be 'decimation' or a list, got {chain_cfg!r}")
         ms.check_depth(backend, sched.depth)
         if algorithm == "mt" and not backend.is_decimation:
             raise ConfigError("$.chain: marginalize-tilt ('mt') needs a decimation chain")
@@ -188,7 +191,8 @@ def cmd_solve_gaussian(args):
         prior_cfg = _require(cfg, "prior")
         block_sizes = _require(prior_cfg, "block_sizes", "$.prior")
         partition = mg.BlockPartition(_sizes(block_sizes, "$.prior.block_sizes"))
-        prior = mg.GaussianDist.from_json(prior_cfg)
+        with _config_phase("$.prior"):
+            prior = mg.GaussianDist.from_json(prior_cfg)
         backend = ms.GaussianBackend(partition)
         with _config_phase("$.prior.block_sizes"):
             backend.check_space(prior)
@@ -253,9 +257,16 @@ def _number(value, path):
     return float(value)
 
 
+def _list(values, path, read=_number):
+    """A JSON list, each entry read by ``read(entry, its path)``; numbers by default."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{path}: must be a list, got {values!r}")
+    return [read(v, f"{path}[{i}]") for i, v in enumerate(values)]
+
+
 def _sizes(values, path):
     """A JSON list of integral sizes, as a tuple of ints."""
-    return tuple(_integral(v, f"{path}[{i}]") for i, v in enumerate(values))
+    return tuple(_list(values, path, _integral))
 
 
 def _scale_map(cfg, path):
@@ -276,7 +287,7 @@ def _resolve_experiment(cfg, seed_override):
     for key, least in (("n_test", 1), ("n_weights", 1), ("seed", 0)):
         if resolved[key] < least:
             raise ConfigError(f"$.{key}: must be >= {least}")
-    alphas = [_number(a, f"$.alpha_grid[{i}]") for i, a in enumerate(resolved["alpha_grid"])]
+    alphas = _list(resolved["alpha_grid"], "$.alpha_grid")
     if not alphas:
         raise ConfigError("$.alpha_grid: grid must be nonempty")
     if any(not 0.0 <= a <= 0.999 for a in alphas):
@@ -291,7 +302,7 @@ def _resolve_experiment(cfg, seed_override):
         sigma1s = np.logspace(lo, hi, pts)
         resolved["sigma1_grid"] = {"log10_min": lo, "log10_max": hi, "points": pts}
     else:
-        sigma1s = np.asarray([_number(s, f"$.sigma1_grid[{i}]") for i, s in enumerate(sg)])
+        sigma1s = np.asarray(_list(sg, "$.sigma1_grid"))
     if sigma1s.size == 0 or not np.all(np.isfinite(sigma1s) & (sigma1s > 0.0)):
         raise ConfigError("$.sigma1_grid: need finite, positive values")
     return resolved, alphas, sigma1s
@@ -346,10 +357,7 @@ def cmd_bounds(args):
                     "$: a dirac reference takes 'log_inv_q' or 'teacher_student', not both"
                 )
             if "log_inv_q" in cfg:
-                log_inv_q = cfg["log_inv_q"]
-                qhat = mb.DiracReference(
-                    tuple(_number(v, f"$.log_inv_q[{i}]") for i, v in enumerate(log_inv_q))
-                )
+                qhat = mb.DiracReference(tuple(_list(cfg["log_inv_q"], "$.log_inv_q")))
             else:
                 path = "$.teacher_student"
                 ts = _require(cfg, "teacher_student")
@@ -362,8 +370,10 @@ def cmd_bounds(args):
                     qhat = mb.DiracReference.teacher_student(bc.d, *teacher_student, log_inv_q1)
             prior = partition = None
         elif kind == "gaussian":
-            qhat = mg.GaussianDist.from_json(_require(cfg, "qhat"))
-            prior = mg.GaussianDist.from_json(_require(cfg, "prior"))
+            with _config_phase("$.qhat"):
+                qhat = mg.GaussianDist.from_json(_require(cfg, "qhat"))
+            with _config_phase("$.prior"):
+                prior = mg.GaussianDist.from_json(_require(cfg, "prior"))
             partition = mg.BlockPartition(_sizes(_require(cfg, "block_sizes"), "$.block_sizes"))
         else:
             raise ConfigError(f"$.kind: unknown {kind!r}")
@@ -411,6 +421,11 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if args.out is not None:
+            existed = os.path.exists(args.out)
+            open(args.out, "a").close()  # an unwritable path fails here, before the work
+            if not existed:
+                os.remove(args.out)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

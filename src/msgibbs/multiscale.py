@@ -19,7 +19,7 @@ import numpy as np
 
 from . import gaussian as mg
 from . import tabular as mt
-from .errors import IndefinitePosterior, SpaceMismatch
+from .errors import IndefinitePosterior, NumericalGuard, SpaceMismatch
 
 __all__ = [
     "TemperatureSchedule",
@@ -186,6 +186,8 @@ class GaussianBackend:
 
     def initial_max_entropy(self, f, beta):
         # density proportional to exp(-beta f); requires strictly PD K
+        if not np.isfinite(beta):
+            raise NumericalGuard(f"inverse temperature must be finite, got beta = {beta}")
         try:
             mean = np.linalg.solve(f.K, -f.g)
             return mg.GaussianDist.from_precision(mean, beta * f.K)

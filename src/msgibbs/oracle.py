@@ -17,25 +17,6 @@ from .errors import MassLeakage, NonConvergence, SpaceMismatch
 from .tolerances import TOL
 
 
-@dataclass(frozen=True)
-class OracleSettings:
-    max_iterations: int = 50_000
-    step_size: float = 0.1
-    convergence_tol: float = 1e-13
-    grid_points: int = 2001
-
-    def __post_init__(self):
-        if (
-            self.max_iterations <= 0
-            or self.step_size <= 0.0
-            or self.convergence_tol <= 0.0
-            or self.grid_points <= 1
-        ):
-            raise ValueError("oracle settings must all be positive")
-
-
-DEFAULT_SETTINGS = OracleSettings()
-
 #: largest joint space the simplex oracle will accept
 MAX_ORACLE_STATES = 4096
 
@@ -50,7 +31,7 @@ def _composed_maps(space, chain):
     return comps, sizes
 
 
-def minimize_tabular(objective, f, q, sched, chain, settings=None):
+def minimize_tabular(objective, f, q, sched, chain):
     """Brute-force optimum of a multiscale objective over the simplex.
 
     ``objective`` is ``"min-relative-entropy"`` (minimize E[f] + lam * D) or
@@ -59,8 +40,6 @@ def minimize_tabular(objective, f, q, sched, chain, settings=None):
     be strictly positive otherwise.  Deterministic: fixed uniform start and
     iteration order.
     """
-    if settings is None:
-        settings = DEFAULT_SETTINGS
     if objective not in ("min-relative-entropy", "max-entropy"):
         raise ValueError(f"unknown objective {objective!r}")
     space = f.space
@@ -114,9 +93,9 @@ def minimize_tabular(objective, f, q, sched, chain, settings=None):
         return value, grad
 
     log_p = np.full(space.size, -math.log(space.size))
-    step = settings.step_size
+    step = TOL.oracle_step_size
     prev_value, grad = objective_and_grad(log_p)
-    for iteration in range(settings.max_iterations):
+    for iteration in range(TOL.oracle_max_iterations):
         proposal = log_p - step * grad
         proposal -= _logsumexp(proposal)
         value, new_grad = objective_and_grad(proposal)
@@ -129,12 +108,12 @@ def minimize_tabular(objective, f, q, sched, chain, settings=None):
                     f"at iteration {iteration}"
                 )
             continue
-        converged = prev_value - value < settings.convergence_tol
+        converged = prev_value - value < TOL.oracle_convergence
         log_p, grad, prev_value = proposal, new_grad, value
         if converged:
             return mt.TabularDist.from_weights(space, np.exp(log_p))
     raise NonConvergence(
-        f"simplex oracle did not converge within {settings.max_iterations} iterations"
+        f"simplex oracle did not converge within {TOL.oracle_max_iterations} iterations"
     )
 
 
@@ -150,21 +129,19 @@ class QuadratureResult:
     log_norm: float
 
 
-def quadrature_density_moments(log_density, lower, upper, settings=None):
+def quadrature_density_moments(log_density, lower, upper):
     """Trapezoid-rule moments of an unnormalized log-density on a box grid.
 
     ``log_density`` maps an (n, dim) array of points to n log values; dim is
     1 or 2.  Raises :class:`MassLeakage` if the boundary density exceeds
     ``TOL.quadrature_boundary`` relative to the peak.
     """
-    if settings is None:
-        settings = DEFAULT_SETTINGS
     lower = np.atleast_1d(np.asarray(lower, dtype=float))
     upper = np.atleast_1d(np.asarray(upper, dtype=float))
     dim = lower.size
     if dim not in (1, 2) or upper.size != dim:
         raise ValueError("quadrature supports 1-D and 2-D boxes")
-    n = settings.grid_points
+    n = TOL.quadrature_grid_points
     axes = [np.linspace(lower[k], upper[k], n) for k in range(dim)]
     steps = [(upper[k] - lower[k]) / (n - 1) for k in range(dim)]
     axis_w = []

@@ -19,14 +19,19 @@ class Tolerances:
     # closed-form divergences may round this far below zero before clipping
     divergence_rounding: float = 1e-8
     # boundary density relative to peak accepted by the quadrature oracle
-    # (a 6-sigma Gaussian grid has boundary ratio exp(-18) ~ 1.5e-8)
+    # (a 6-sigma Gaussian grid has boundary ratio exp(-18) ~ 1.5e-8); points per axis
     quadrature_boundary: float = 1e-7
+    quadrature_grid_points: int = 2001
     # QuadraticEnergy: the symmetry tolerance for K; eigenvalues of K down to
     # minus the floor are accepted as rounding and K is kept as given
     energy_symmetry: float = 1e-8
     energy_eigenvalue_floor: float = 1e-8
-    # simplex oracle: an objective rise up to the slack is not an ascent; marginals
-    # are floored before logs; halving the step below its floor is a collapse
+    # simplex oracle: first step, convergence (objective decrease) and iteration cap;
+    # an objective rise up to the slack is not an ascent; marginals are floored
+    # before logs; halving the step below its floor is a collapse
+    oracle_step_size: float = 0.1
+    oracle_convergence: float = 1e-13
+    oracle_max_iterations: int = 50_000
     oracle_ascent_slack: float = 1e-15
     oracle_log_floor: float = 1e-300
     oracle_step_floor: float = 1e-8

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from msgibbs import cli
+from msgibbs import nn as mn
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -380,8 +381,8 @@ def binary3_chain(source=(2, 2, 2), target=(2, 2), map_entry=None):
 
 
 @pytest.mark.parametrize(
-    "command, config_name, change",
-    [
+    "command, config_name, change, key_path",
+    [(*case, None) for case in [
         ("solve-tabular", "solve_tabular_binary3.json", {"algorithm": "bogus"}),
         (
             "bounds",
@@ -498,9 +499,27 @@ def binary3_chain(source=(2, 2, 2), target=(2, 2), map_entry=None):
         ("solve-tabular", "solve_tabular_binary3.json", {"reference": ZERO_REFERENCE}),
         ("solve-tabular", "solve_tabular_binary3.json",
          {"reference": ZERO_REFERENCE, "algorithm": "min-rel-entropy"}),
+    ]] + [
+        # a scalar or an object where a list belongs, and missing Gaussian keys: the line
+        # names the key
+        ("solve-tabular", "solve_tabular_binary3.json", {"sigma": 1.0}, "$.sigma"),
+        ("solve-tabular", "solve_tabular_binary3.json", {"axis_sizes": 8}, "$.axis_sizes"),
+        ("experiment", "experiment_smoke.json", {"alpha_grid": 0.5}, "$.alpha_grid"),
+        ("experiment", "experiment_smoke.json", {"sigma1_grid": 3}, "$.sigma1_grid"),
+        ("bounds", "bounds_teacher_student.json",
+         {"teacher_student": DROP, "log_inv_q": 0.5}, "$.log_inv_q"),
+        ("solve-tabular", "solve_tabular_binary3.json", {"chain": "foo"}, "$.chain"),
+        ("solve-tabular", "solve_tabular_binary3.json", {"chain": {"a": 1}}, "$.chain"),
+        ("bounds", "bounds_gaussian_demo.json", {"qhat": {"cov": [0.05, 0.0, 0.0, 0.08]}},
+         "$.qhat"),
+        ("bounds", "bounds_gaussian_demo.json", {"prior": {"cov": [0.5, 0.0, 0.0, 0.5]}},
+         "$.prior"),
+        ("solve-gaussian", "solve_gaussian_demo.json",
+         {"prior": {"mean": [0.0, 0.0, 0.0], "block_sizes": [1, 2]}}, "$.prior"),
     ],
 )
-def test_config_errors_print_one_prefixed_line(tmp_path, capsys, command, config_name, change):
+def test_config_errors_print_one_prefixed_line(tmp_path, capsys, command, config_name, change,
+                                               key_path):
     cfg = json.loads((CONFIGS / config_name).read_text())
     cfg.update(change)
     cfg = {key: value for key, value in cfg.items() if value is not DROP}
@@ -510,6 +529,7 @@ def test_config_errors_print_one_prefixed_line(tmp_path, capsys, command, config
     captured = capsys.readouterr()
     assert captured.out == ""
     assert_one_config_error_line(captured.err)
+    assert key_path is None or f"config error: {key_path}:" in captured.err
 
 
 @pytest.mark.parametrize("algorithm", ["max-entropy", "min-rel-entropy", "mt"])
@@ -535,7 +555,11 @@ def test_zero_in_the_reference_needs_no_verify(tmp_path, capsys, algorithm):
     "command, config_name",
     [("solve-tabular", "solve_tabular_binary3.json"), ("experiment", "experiment_smoke.json")],
 )
-def test_unwritable_out_prints_one_error_line(tmp_path, capsys, command, config_name):
+def test_unwritable_out_prints_one_error_line(tmp_path, capsys, monkeypatch, command,
+                                             config_name):
+    # the path is checked before the work: the sweep never starts
+    sweeps = []
+    monkeypatch.setattr(mn, "teacher_student_sweep", lambda *args: sweeps.append(args) or [])
     out = tmp_path / "missing" / "report"
     argv = [command, "--config", str(CONFIGS / config_name), "--out", str(out)]
     assert run(argv) == cli.EXIT_ERROR
@@ -543,6 +567,7 @@ def test_unwritable_out_prints_one_error_line(tmp_path, capsys, command, config_
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and str(out) in lines[0]
+    assert sweeps == []
 
 
 def test_failed_guard_during_a_solve_prints_one_error_line(tmp_path, capsys):
@@ -559,13 +584,20 @@ def test_failed_guard_during_a_solve_prints_one_error_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("algorithm", ["max-entropy", "min-rel-entropy", "mt"])
-def test_overflowing_inverse_temperature_prints_one_error_line(tmp_path, capsys, algorithm):
+@pytest.mark.parametrize(
+    "command, config_name",
+    [("solve-tabular", "solve_tabular_binary3.json"),
+     ("solve-gaussian", "solve_gaussian_demo.json")],
+)
+def test_overflowing_inverse_temperature_prints_one_error_line(
+    tmp_path, capsys, command, config_name, algorithm
+):
     # a subnormal sigma_1 overflows lambda / sigma_1 (and 1 / (lambda sigma_1)) to inf
-    cfg = json.loads((CONFIGS / "solve_tabular_binary3.json").read_text())
+    cfg = json.loads((CONFIGS / config_name).read_text())
     cfg.update(sigma=[1e-320, 0.5], algorithm=algorithm)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    assert run(["solve-tabular", "--config", str(path)]) == cli.EXIT_ERROR
+    assert run([command, "--config", str(path)]) == cli.EXIT_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: inverse temperature must be finite, got beta = inf"]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,13 +12,6 @@ from msgibbs.errors import MassLeakage, NonConvergence, SpaceMismatch
 
 def random_dist(space, rng, low=0.05):
     return mt.TabularDist.from_weights(space, rng.uniform(low, 1.0, space.size))
-
-
-def test_settings_validation():
-    with pytest.raises(ValueError):
-        mo.OracleSettings(max_iterations=0)
-    with pytest.raises(ValueError):
-        mo.OracleSettings(step_size=-1.0)
 
 
 def test_single_scale_converges_to_gibbs():
@@ -95,7 +89,7 @@ def test_oracle_is_deterministic():
     assert np.array_equal(a.probs, b.probs)
 
 
-def test_oracle_rejections():
+def test_oracle_rejections(monkeypatch):
     space = mt.ProductSpace((2, 2))
     f = mt.EnergyTable(space, np.zeros(4))
     q = mt.TabularDist(space, [0.5, 0.5, 0.0, 0.0])
@@ -112,6 +106,9 @@ def test_oracle_rejections():
         mo.minimize_tabular(
             "max-entropy", mt.EnergyTable(big, np.zeros(big.size)), None, sched, chain
         )
+    monkeypatch.setattr(
+        mo, "TOL", dataclasses.replace(mo.TOL, oracle_max_iterations=1, oracle_convergence=1e-300)
+    )
     with pytest.raises(NonConvergence):
         mo.minimize_tabular(
             "min-relative-entropy",
@@ -119,7 +116,6 @@ def test_oracle_rejections():
             mt.TabularDist.uniform(space),
             sched,
             chain,
-            mo.OracleSettings(max_iterations=1, convergence_tol=1e-300),
         )
 
 
@@ -133,7 +129,7 @@ def test_quadrature_standard_normal():
     assert abs(res.log_norm - 0.5 * math.log(2 * math.pi)) < 1e-6
 
 
-def test_quadrature_2d_correlated():
+def test_quadrature_2d_correlated(monkeypatch):
     cov = np.array([[1.0, 0.4], [0.4, 0.8]])
     prec = np.linalg.inv(cov)
     mean = np.array([0.3, -0.2])
@@ -142,8 +138,8 @@ def test_quadrature_2d_correlated():
         d = pts - mean
         return -0.5 * np.einsum("ni,ij,nj->n", d, prec, d)
 
-    settings = mo.OracleSettings(grid_points=401)
-    res = mo.quadrature_density_moments(log_density, [-6.0, -6.0], [6.0, 6.0], settings)
+    monkeypatch.setattr(mo, "TOL", dataclasses.replace(mo.TOL, quadrature_grid_points=401))
+    res = mo.quadrature_density_moments(log_density, [-6.0, -6.0], [6.0, 6.0])
     assert np.abs(res.mean - mean).max() < 1e-6
     assert np.abs(res.cov - cov).max() < 1e-3
     norm = 0.5 * (2 * math.log(2 * math.pi) + math.log(np.linalg.det(cov)))
