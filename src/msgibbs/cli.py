@@ -66,6 +66,8 @@ def _config_phase(path="$"):
 
 
 def _require(cfg, key, path="$"):
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path}: must be an object, got {cfg!r}")
     if key not in cfg:
         raise ConfigError(f"{path}: missing key {key!r}")
     return cfg[key]
@@ -134,7 +136,8 @@ def cmd_solve_tabular(args):
     cfg = _load_config(args.config)
     with _config_phase():
         space = mt.ProductSpace(_sizes(_require(cfg, "axis_sizes"), "$.axis_sizes"))
-        energy = mt.EnergyTable(space, _require(cfg, "energy"))
+        with _config_phase("$.energy"):
+            energy = mt.EnergyTable(space, _require(cfg, "energy"))
         algorithm = _require(cfg, "algorithm")
         if algorithm not in ("max-entropy", "min-rel-entropy", "mt"):
             raise ConfigError(f"$.algorithm: unknown {algorithm!r}")
@@ -156,7 +159,8 @@ def cmd_solve_tabular(args):
             raise ConfigError("$.chain: marginalize-tilt ('mt') needs a decimation chain")
         reference = None
         if algorithm in ("min-rel-entropy", "mt"):
-            reference = mt.TabularDist(space, _require(cfg, "reference"))
+            with _config_phase("$.reference"):
+                reference = mt.TabularDist(space, _require(cfg, "reference"))
             if args.verify and reference.probs.min() <= 0.0:
                 raise ConfigError(
                     "$.reference: --verify needs a strictly positive reference (the "
@@ -198,11 +202,12 @@ def cmd_solve_gaussian(args):
             backend.check_space(prior)
         dim = prior.dim
         energy_cfg = _require(cfg, "energy")
-        energy = mg.QuadraticEnergy(
-            np.reshape(_require(energy_cfg, "K", "$.energy"), (dim, dim)),
-            energy_cfg.get("g", np.zeros(dim)),
-            _number(energy_cfg.get("c", 0.0), "$.energy.c"),
-        )
+        with _config_phase("$.energy"):
+            energy = mg.QuadraticEnergy(
+                np.reshape(_require(energy_cfg, "K", "$.energy"), (dim, dim)),
+                energy_cfg.get("g", np.zeros(dim)),
+                _number(energy_cfg.get("c", 0.0), "$.energy.c"),
+            )
         algorithm = cfg.get("algorithm", "mt")
         if algorithm not in ("max-entropy", "min-rel-entropy", "mt"):
             raise ConfigError(f"$.algorithm: unknown {algorithm!r}")

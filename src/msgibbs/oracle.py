@@ -7,6 +7,7 @@ table, so the iterate converges to the global optimum.
 trapezoid grid to validate the Gaussian closed forms.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,23 +23,28 @@ MAX_ORACLE_STATES = 4096
 
 
 def _composed_maps(space, chain):
-    """Per-scale joint-index -> scale-index arrays (scale 1 is the identity, ``slice(None)``)."""
+    """Per-scale joint-index -> scale-index arrays (scale 1 is the identity, ``slice(None)``);
+    each map must start on the space the one before it ends on, the first on ``space``."""
     comps = [slice(None)]
     sizes = [space.size]
     for t in chain:
+        if t.source.axis_sizes != space.axis_sizes:
+            raise SpaceMismatch(f"scale map source {t.source.axis_sizes} is not {space.axis_sizes}")
+        space = t.target
         comps.append(t.map[comps[-1]])
-        sizes.append(t.target.size)
+        sizes.append(space.size)
     return comps, sizes
 
 
 def minimize_tabular(objective, f, q, sched, chain):
     """Brute-force optimum of a multiscale objective over the simplex.
 
-    ``objective`` is ``"min-relative-entropy"`` (minimize E[f] + lam * D) or
-    ``"max-entropy"`` (minimize lam * E[f] - multiscale H, i.e. maximize the
-    entropy Lagrangian).  ``q`` is ignored for the entropy objective and must
-    be strictly positive otherwise.  Deterministic: fixed uniform start and
-    iteration order.
+    Both objectives minimize ``a E[f] + sum_i w_i <p_i, log p_i - log q_i>`` over the
+    scale marginals p_i: ``"min-relative-entropy"`` (E[f] + lam * D) has a = 1 and
+    w_i = lam * sigma_i; ``"max-entropy"`` (lam * E[f] - multiscale H) has a = lam,
+    w_i = sigma_i and log q_i = 0, a reference that carries no information.  ``q`` is
+    ignored for the entropy objective and must be strictly positive otherwise.
+    Deterministic: fixed uniform start and iteration order.
     """
     if objective not in ("min-relative-entropy", "max-entropy"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -52,44 +58,33 @@ def minimize_tabular(objective, f, q, sched, chain):
             f"schedule depth {sched.depth} needs {sched.depth - 1} maps, "
             f"got {len(chain)}"
         )
-    use_reference = objective == "min-relative-entropy"
-    if use_reference:
+    comps, sizes = _composed_maps(space, chain)
+    sigma = np.asarray(sched.sigma)
+    active = np.flatnonzero(sigma).tolist()
+
+    def log_marginal(probs, i):
+        marg = probs if i == 0 else np.bincount(comps[i], weights=probs, minlength=sizes[i])
+        # an empty fiber has no mass under p or q and must add 0, not 0 * inf
+        return marg, np.log(np.maximum(marg, TOL.oracle_log_floor))
+
+    if objective == "max-entropy":
+        a, weights, log_q = sched.lam, sigma, [0.0] * sched.depth
+    else:
         if q.space.axis_sizes != space.axis_sizes:
             raise SpaceMismatch("f and q live on different spaces")
         if q.probs.min() <= 0.0:
             raise ValueError("the simplex oracle requires a strictly positive q")
-
-    comps, sizes = _composed_maps(space, chain)
-    sigma = np.asarray(sched.sigma)
-    lam = sched.lam
-    log_q_scales = None
-    if use_reference:
-        log_q_scales = []
-        for i, (comp, size) in enumerate(zip(comps, sizes)):
-            marg = q.probs if i == 0 else np.bincount(comp, weights=q.probs, minlength=size)
-            # an empty fiber has no mass under p or q and must add 0, not 0 * inf
-            log_q_scales.append(np.log(np.maximum(marg, TOL.oracle_log_floor)))
+        a, weights = 1.0, sched.lam * sigma
+        log_q = [log_marginal(q.probs, i)[1] for i in range(sched.depth)]
 
     def objective_and_grad(log_p):
         p = np.exp(log_p)
-        if use_reference:
-            grad = f.values.copy()
-            value = float(p @ f.values)
-        else:
-            grad = lam * f.values
-            value = lam * float(p @ f.values)
-        for i in range(sched.depth):
-            if sigma[i] == 0.0:
-                continue
-            marg = p if i == 0 else np.bincount(comps[i], weights=p, minlength=sizes[i])
-            log_marg = np.log(np.maximum(marg, TOL.oracle_log_floor))
-            if use_reference:
-                log_ratio = log_marg - log_q_scales[i]
-                value += lam * sigma[i] * float(marg @ log_ratio)
-                grad += (lam * sigma[i] * (log_ratio + 1.0))[comps[i]]
-            else:
-                value += sigma[i] * float(marg @ log_marg)
-                grad += (sigma[i] * (log_marg + 1.0))[comps[i]]
+        value, grad = a * float(p @ f.values), a * f.values
+        for i in active:
+            marg, log_ratio = log_marginal(p, i)
+            log_ratio -= log_q[i]
+            value += weights[i] * float(marg @ log_ratio)
+            grad += (weights[i] * (log_ratio + 1.0))[comps[i]]
         return value, grad
 
     log_p = np.full(space.size, -math.log(space.size))
@@ -142,27 +137,17 @@ def quadrature_density_moments(log_density, lower, upper):
     if dim not in (1, 2) or upper.size != dim:
         raise ValueError("quadrature supports 1-D and 2-D boxes")
     n = TOL.quadrature_grid_points
-    axes = [np.linspace(lower[k], upper[k], n) for k in range(dim)]
-    steps = [(upper[k] - lower[k]) / (n - 1) for k in range(dim)]
-    axis_w = []
-    for k in range(dim):
-        w = np.full(n, steps[k])
-        w[0] *= 0.5
-        w[-1] *= 0.5
+    axes, axis_w = [], []
+    for lo, hi in zip(lower, upper):
+        axes.append(np.linspace(lo, hi, n))
+        w = np.full(n, (hi - lo) / (n - 1))
+        w[[0, -1]] *= 0.5
         axis_w.append(w)
-    if dim == 1:
-        points = axes[0][:, None]
-        weights = axis_w[0]
-        boundary = np.zeros(n, dtype=bool)
-        boundary[[0, -1]] = True
-    else:
-        xx, yy = np.meshgrid(axes[0], axes[1], indexing="ij")
-        points = np.column_stack([xx.ravel(), yy.ravel()])
-        weights = np.outer(axis_w[0], axis_w[1]).ravel()
-        boundary = np.zeros((n, n), dtype=bool)
-        boundary[0, :] = boundary[-1, :] = True
-        boundary[:, 0] = boundary[:, -1] = True
-        boundary = boundary.ravel()
+    points = np.column_stack([x.ravel() for x in np.meshgrid(*axes, indexing="ij")])
+    weights = functools.reduce(np.multiply.outer, axis_w).ravel()
+    edge = np.zeros(n, dtype=bool)
+    edge[[0, -1]] = True
+    boundary = functools.reduce(np.logical_or.outer, [edge] * dim).ravel()
 
     log_vals = np.asarray(log_density(points), dtype=float).reshape(-1)
     peak = log_vals.max()

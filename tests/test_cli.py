@@ -516,6 +516,17 @@ def binary3_chain(source=(2, 2, 2), target=(2, 2), map_entry=None):
          "$.prior"),
         ("solve-gaussian", "solve_gaussian_demo.json",
          {"prior": {"mean": [0.0, 0.0, 0.0], "block_sizes": [1, 2]}}, "$.prior"),
+        # a value that is not an object where an object belongs
+        ("solve-gaussian", "solve_gaussian_demo.json", {"prior": 5}, "$.prior"),
+        ("solve-gaussian", "solve_gaussian_demo.json", {"energy": 5}, "$.energy"),
+        ("bounds", "bounds_teacher_student.json", {"teacher_student": 3}, "$.teacher_student"),
+        ("solve-tabular", "solve_tabular_binary3.json", {"chain": [1]}, "$.chain[0]"),
+        # tables and energies of the wrong size name their key
+        ("solve-tabular", "solve_tabular_binary3.json", {"energy": [1.0]}, "$.energy"),
+        ("solve-tabular", "solve_tabular_binary3.json", {"reference": [1.0]}, "$.reference"),
+        ("solve-gaussian", "solve_gaussian_demo.json", {"energy": {"K": [2.0, 0.3]}}, "$.energy"),
+        ("solve-gaussian", "solve_gaussian_demo.json",
+         {"energy": {"K": [2.0, 0.3, 0.1, 0.3, 1.5, 0.0, 0.1, 0.0, 1.0], "g": [0.2]}}, "$.energy"),
     ],
 )
 def test_config_errors_print_one_prefixed_line(tmp_path, capsys, command, config_name, change,

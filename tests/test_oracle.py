@@ -165,3 +165,30 @@ def test_step_size_collapse_is_reported():
         mo.minimize_tabular(
             "min-relative-entropy", f, mt.TabularDist.uniform(space), sched, chain
         )
+
+
+def test_chain_on_the_wrong_space_is_rejected():
+    # both chains have the sizes the oracle needs, but not the spaces
+    space = mt.ProductSpace((2, 2, 2))
+    f = mt.EnergyTable(space, np.linspace(0.0, 1.0, space.size))
+    q = mt.TabularDist.uniform(space)
+    other_first = [mt.ScaleMap.decimation(mt.ProductSpace((4, 2)))]
+    broken_second = [
+        mt.ScaleMap.decimation(space),
+        mt.ScaleMap(mt.ProductSpace((4,)), mt.ProductSpace((2,)), [0, 0, 1, 1]),
+    ]
+    for chain in (other_first, broken_second):
+        sched = ms.TemperatureSchedule(1.0, (1.0, 0.5, 0.25)[: len(chain) + 1])
+        for kind in ("min-relative-entropy", "max-entropy"):
+            with pytest.raises(SpaceMismatch):
+                mo.minimize_tabular(kind, f, q, sched, chain)
+
+
+@pytest.mark.parametrize(
+    "lower, upper", [([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0]), ([-1.0, -1.0], [1.0])]
+)
+def test_quadrature_rejects_unsupported_boxes(monkeypatch, lower, upper):
+    # a small grid: a check moved after the grid build must not allocate 2001^3 points
+    monkeypatch.setattr(mo, "TOL", dataclasses.replace(mo.TOL, quadrature_grid_points=5))
+    with pytest.raises(ValueError, match="1-D and 2-D boxes"):
+        mo.quadrature_density_moments(lambda pts: np.zeros(len(pts)), lower, upper)
