@@ -101,11 +101,7 @@ def alpha_schedule(alpha, sigma1, d):
 def _drops_last_axis(t):
     """Whether scale map ``t`` is the decimation of its source space."""
     sizes = t.source.axis_sizes
-    return (
-        len(sizes) > 1
-        and t.target.axis_sizes == sizes[:-1]
-        and np.array_equal(t.map, np.arange(t.source.size) // sizes[-1])
-    )
+    return len(sizes) > 1 and t.target.axis_sizes == sizes[:-1] and t.fiber == sizes[-1]
 
 
 class TabularBackend:
@@ -261,7 +257,10 @@ def _renormalize_and_refine(initial, sched, backend, q, with_trace):
     refined = [result]
     for step in range(top - 2, -1, -1):
         result = backend.refine_step(result, renormalized[step], images[step], step)
-        refined.append(result)
+        if with_trace:
+            refined.append(result)
+        else:  # an untraced solve lets each scale go once it is refined
+            del renormalized[step:], images[step:]
     if with_trace:
         refined = tuple(reversed(refined)) + tuple(renormalized[top:])
         return result, SolveTrace(tuple(renormalized), refined)

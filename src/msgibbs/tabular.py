@@ -136,9 +136,14 @@ class EnergyTable:
 
 
 class ScaleMap:
-    """Deterministic coarse-graining: assigns each source state a target state."""
+    """Deterministic coarse-graining: assigns each source state a target state.
 
-    __slots__ = ("source", "target", "map")
+    ``fiber`` is the width k when the fibers are contiguous blocks of k source
+    states, ``map == arange(source.size) // k`` with ``source.size == k * target.size``
+    (a decimation's, for one), else ``None``; an explicit map finds it on first read.
+    """
+
+    __slots__ = ("source", "target", "map", "_fiber")
 
     def __init__(self, source, target, mapping):
         given = np.asarray(mapping).reshape(-1)
@@ -160,9 +165,27 @@ class ScaleMap:
     @classmethod
     def decimation(cls, source):
         """Project onto all but the last coordinate (drop the deepest axis)."""
-        target = source.drop_last_axis()
         last = source.axis_sizes[-1]
-        return cls(source, target, np.arange(source.size) // last)
+        t = cls.__new__(cls)  # the map is valid by construction
+        t.source, t.target, t._fiber = source, source.drop_last_axis(), last
+        t.map = np.arange(source.size) // last
+        t.map.setflags(write=False)
+        return t
+
+    @property
+    def fiber(self):
+        try:
+            return self._fiber
+        except AttributeError:
+            k = self.source.size // self.target.size
+            blocks = np.repeat(np.arange(self.target.size), k)  # too short unless k divides
+            self._fiber = k if np.array_equal(self.map, blocks) else None
+            return self._fiber
+
+
+def _lift(values, mapping, fiber):
+    """``values[mapping]`` as a fresh array: a block repeat on contiguous fibers."""
+    return values[mapping] if fiber is None else np.repeat(values, fiber)
 
 
 class ConditionalTable:
@@ -173,22 +196,29 @@ class ConditionalTable:
     (t's target), is p on the fiber of j, renormalized.  Output state i lies in
     row ``map[i]`` (``t.map`` itself) with probability ``probs[i]``; rows whose
     fiber carries no mass are undefined (``defined[j]`` False) and hold zeros.
+    ``fiber`` is ``t.fiber``: on contiguous fibers the image is lifted to the
+    source by ``np.repeat`` instead of a gather, and when every row is defined
+    the division runs unmasked.
     """
 
-    __slots__ = ("given_space", "output_space", "map", "probs", "defined")
+    __slots__ = ("given_space", "output_space", "map", "fiber", "probs", "defined")
 
     def __init__(self, p, t, image):
         if t.source.axis_sizes != p.space.axis_sizes:
             raise SpaceMismatch("scale map source differs from the distribution's space")
         defined = image.probs > TOL.conditional_row_mass
-        fiber_mass = image.probs[t.map]
-        probs = np.divide(p.probs, fiber_mass, out=np.zeros(t.source.size),
-                          where=fiber_mass > TOL.conditional_row_mass)
+        fiber_mass = _lift(image.probs, t.map, t.fiber)
+        if defined.all():
+            probs = np.divide(p.probs, fiber_mass, out=fiber_mass)
+        else:
+            probs = np.divide(p.probs, fiber_mass, out=np.zeros(t.source.size),
+                              where=fiber_mass > TOL.conditional_row_mass)
         probs.setflags(write=False)
         defined.setflags(write=False)
         self.given_space = t.target
         self.output_space = t.source
         self.map = t.map
+        self.fiber = t.fiber
         self.probs = probs
         self.defined = defined
 
@@ -239,10 +269,13 @@ def total_variation(p, q):
 def renyi_entropy(p, order):
     """Renyi entropy of the given order, for order in (0,1) or (1,inf)."""
     order = float(order)
-    if order <= 0.0 or order == 1.0:
+    if not 0.0 < order < math.inf or order == 1.0:
         raise InvalidOrder(f"Renyi entropy order must be in (0,1) or (1,inf), got {order}")
-    total = float(np.power(p.probs[p.probs > 0.0], order).sum())
-    return math.log(total) / (1.0 - order)
+    # max-normalised: the sum is in [1, n], and order / (1 - order) is finite
+    support = p.probs[p.probs > 0.0]
+    peak = support.max()
+    total = float(np.power(support / peak, order).sum())
+    return order / (1.0 - order) * math.log(peak) + math.log(total) / (1.0 - order)
 
 
 def renyi_divergence(q, r, order):
@@ -322,11 +355,22 @@ def gibbs(f, q, beta):
     return _from_log_weights(q.space, logw, empty)
 
 
+#: widest contiguous fiber that pushforward sums column by column; past it bincount is faster
+_MAX_COLUMN_FIBER = 8
+
+
 def pushforward(p, t):
     """Image distribution of ``p`` under the scale map ``t`` (mass-preserving)."""
     if t.source.axis_sizes != p.space.axis_sizes:
         raise SpaceMismatch("scale map source differs from the distribution's space")
-    out = np.bincount(t.map, weights=p.probs, minlength=t.target.size)
+    k = t.fiber
+    if k is None or k > _MAX_COLUMN_FIBER:
+        out = np.bincount(t.map, weights=p.probs, minlength=t.target.size)
+    else:
+        # bincount's order: each fiber's terms added left to right onto 0.0
+        out = np.zeros(t.target.size)
+        for column in p.probs.reshape(-1, k).T:
+            out += column
     return TabularDist._adopt(t.target, out)
 
 
@@ -354,5 +398,7 @@ def refine(coarsest, conditionals):
             raise UndefinedConditionalRow(
                 f"conditioning state {j} has mass {current.probs[j]!r} but no defined row"
             )
-        current = TabularDist._adopt(cond.output_space, current.probs[cond.map] * cond.probs)
+        lifted = _lift(current.probs, cond.map, cond.fiber)
+        lifted *= cond.probs
+        current = TabularDist._adopt(cond.output_space, lifted)
     return current

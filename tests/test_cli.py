@@ -55,6 +55,17 @@ def test_solve_tabular_depth4_mt_golden(tmp_path):
     assert json.loads(out.read_text())["verified"] is True
 
 
+def test_solve_tabular_uneven_axes_min_rel_golden(tmp_path):
+    # decimation fibers of widths 5 and 2 (axes 3, 2, 5), and sigma_2 = 0: a
+    # pass-through step below a tilted one
+    out = tmp_path / "out.json"
+    config = GOLDEN / "solve_tabular_min_rel_3x2x5.config.json"
+    assert json.loads(config.read_text())["sigma"][1] == 0.0
+    assert run(["solve-tabular", "--verify", "--config", str(config), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "solve_tabular_min_rel_3x2x5.json").read_bytes()
+    assert json.loads(out.read_text())["verified"] is True
+
+
 def _assert_report_matches(got, want, path="$"):
     """Keys and strings equal; floats equal within a relative 1e-10.
 

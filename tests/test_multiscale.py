@@ -311,8 +311,8 @@ def test_untraced_single_scale_solve_does_not_coarse_grain(monkeypatch):
 
 @pytest.mark.parametrize("kind, per_step", [("max-entropy", 1), ("min-rel-entropy", 2), ("mt", 2)])
 def test_untraced_decimation_solve_coarse_grains_each_scale_once(monkeypatch, kind, per_step):
-    # the solution (and the reference, when tilting) is summed once per step: the
-    # refine steps reuse those images instead of summing the fibers again
+    # the solution (and the reference, when tilting) is pushed forward once per step:
+    # the refine steps reuse those images instead of summing the fibers again
     rng = np.random.default_rng(17)
     space = mt.ProductSpace((3, 2, 3, 2))
     f = mt.EnergyTable(space, rng.uniform(-1.0, 1.0, space.size))
@@ -320,18 +320,29 @@ def test_untraced_decimation_solve_coarse_grains_each_scale_once(monkeypatch, ki
     sched = ms.TemperatureSchedule(1.2, (0.8, 0.5, 0.3, 0.6))
     d = sched.depth
     assert all(sched.tilt_index(i) < 1.0 for i in range(2, d + 1))
-    backend = ms.TabularBackend.decimation(space, d)
     gibbs = mt.gibbs(f, q, 1.0 / (sched.lam * sched.sigma[0]))
-    solve = {
-        "max-entropy": lambda: ms.solve_max_entropy(f, sched, backend),
-        "min-rel-entropy": lambda: ms.solve_min_relative_entropy(f, q, sched, backend),
-        "mt": lambda: ms.solve_mt(gibbs, q, sched, backend),
-    }[kind]
-    calls = []
-    real = np.bincount
-    monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(a) or real(*a, **k))
-    solve()
-    assert len(calls) == per_step * (d - 1)
+    decimation = ms.TabularBackend.decimation(space, d)
+    # the same fibers with their labels reversed are no blocks, so bincount sums them
+    permuted = ms.TabularBackend(
+        [mt.ScaleMap(t.source, t.target, t.target.size - 1 - t.map) for t in decimation.chain]
+    )
+    backends = [decimation] if kind == "mt" else [decimation, permuted]
+    for backend in backends:
+        solve = {
+            "max-entropy": lambda: ms.solve_max_entropy(f, sched, backend),
+            "min-rel-entropy": lambda: ms.solve_min_relative_entropy(f, q, sched, backend),
+            "mt": lambda: ms.solve_mt(gibbs, q, sched, backend),
+        }[kind]
+        pushforwards, bincounts = [], []
+        real_pushforward, real_bincount = mt.pushforward, np.bincount
+        monkeypatch.setattr(mt, "pushforward",
+                            lambda *a: pushforwards.append(a) or real_pushforward(*a))
+        monkeypatch.setattr(np, "bincount",
+                            lambda *a, **k: bincounts.append(a) or real_bincount(*a, **k))
+        solve()
+        monkeypatch.undo()
+        assert len(pushforwards) == per_step * (d - 1)
+        assert len(bincounts) == (0 if backend is decimation else per_step * (d - 1))
 
 
 def test_depth_mismatch_raises():

@@ -119,6 +119,58 @@ def test_solver_matches_oracle(problem):
 
 
 @st.composite
+def fiber_cases(draw):
+    """A scale map and a distribution on its source with zero-mass fibers and -0.0 entries.
+
+    The map is a decimation (last axis 1-5), the same map given explicitly, one
+    with its source states permuted, or the decimation of 3 x 1000.
+    """
+    rng = np.random.default_rng(draw(seeds))
+    form = draw(st.sampled_from(["decimation", "explicit", "permuted", "wide"]))
+    if form == "wide":
+        source = mt.ProductSpace((3, 1000))
+    else:
+        axes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+        source = mt.ProductSpace((*axes, draw(st.integers(1, 5))))
+    t = mt.ScaleMap.decimation(source)
+    if form == "explicit":
+        t = mt.ScaleMap(source, t.target, t.map.tolist())
+    elif form == "permuted":
+        t = mt.ScaleMap(source, t.target, t.map[rng.permutation(source.size)])
+    w = rng.random(source.size)
+    w[np.isin(t.map, np.flatnonzero(rng.random(t.target.size) < 0.3))] = 0.0
+    w[rng.random(source.size) < 0.2] = -0.0
+    if not w.any():
+        w[rng.integers(source.size)] = 1.0
+    return t, mt.TabularDist(source, w / w.sum()), rng
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(fiber_cases())
+def test_contiguous_fibers_match_the_general_formulas(case):
+    # the block kernels against bincount, a gather and the masked divide, bit for bit
+    t, p, rng = case
+    last = t.source.axis_sizes[-1]
+    assert t.fiber == (last if np.array_equal(t.map, np.arange(t.source.size) // last) else None)
+    image = mt.pushforward(p, t)
+    assert same_bits(image.probs, np.bincount(t.map, weights=p.probs, minlength=t.target.size))
+    cond = mt.reverse_conditional(p, t, image)
+    lifted = image.probs[t.map]
+    want = np.divide(p.probs, lifted, out=np.zeros(t.source.size),
+                     where=lifted > TOL.conditional_row_mass)
+    assert same_bits(cond.probs, want)
+    assert np.array_equal(cond.defined, image.probs > TOL.conditional_row_mass)
+    coarse = mt.TabularDist.from_weights(
+        t.target, np.where(cond.defined, rng.random(t.target.size), -0.0))
+    refined = mt.refine(coarse, [cond])
+    assert same_bits(refined.probs, coarse.probs[t.map] * cond.probs)
+
+
+@st.composite
 def gaussian_problems(draw):
     """Gauss-Newton-like (PSD, possibly rank-deficient) energy, isotropic prior,
     block partition and schedule."""

@@ -476,3 +476,25 @@ def test_tabular_dist_to_json():
     space = mt.ProductSpace((2, 3))
     p = random_dist(space, rng)
     assert p.to_json() == {"axis_sizes": [2, 3], "probs": p.probs.tolist()}
+
+
+def test_renyi_entropy_at_extreme_orders():
+    p = mt.TabularDist(mt.ProductSpace((3,)), [0.2, 0.3, 0.5])
+    # p ** 1e308 underflows to zero everywhere; the order tends to the min-entropy
+    assert mt.renyi_entropy(p, 1e308) == pytest.approx(-math.log(0.5), abs=1e-12)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(InvalidOrder):
+            mt.renyi_entropy(p, bad)
+
+
+def test_only_narrow_contiguous_fibers_skip_bincount(monkeypatch):
+    calls = []
+    real = np.bincount
+    monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(a) or real(*a, **k))
+    for last, summed_by_bincount in ((8, 0), (9, 1), (1000, 1)):
+        space = mt.ProductSpace((3, last))
+        t = mt.ScaleMap.decimation(space)
+        assert t.fiber == last
+        mt.pushforward(mt.TabularDist.uniform(space), t)
+        assert len(calls) == summed_by_bincount
+        calls.clear()
