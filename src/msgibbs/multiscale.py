@@ -88,8 +88,6 @@ def alpha_schedule(alpha, sigma1, d):
     alpha = float(alpha)
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
-    if not sigma1 > 0.0:
-        raise ValueError(f"sigma1 must be > 0, got {sigma1}")
     if not (float(d).is_integer() and d >= 1):
         raise ValueError(f"depth d must be an integer >= 1, got {d!r}")
     sigma = [float(sigma1)]

@@ -215,22 +215,16 @@ def empirical_risk(params, data):
 def weight_jacobian(params, x):
     """Jacobian of the network output w.r.t. the flattened weights, (m, d m^2).
 
-    Reverse-mode through the residual recursion: with B the running
-    output-to-hidden Jacobian, the layer-k block is
-    (B * tanh'(z_k)) outer h_{k-1}.
+    Reverse-mode through the hidden states of :func:`forward`: with B the
+    running output-to-hidden Jacobian and z_k = W_k h_{k-1}, the layer-k
+    block is (B * tanh'(z_k)) outer h_{k-1}.
     """
     m, d = params.m, params.d
-    h = np.asarray(x, dtype=float).reshape(-1)
-    hidden = [h]
-    pre = []
-    for w in params.layers:
-        z = w @ hidden[-1]
-        pre.append(z)
-        hidden.append(np.tanh(z) + hidden[-1])
+    _, hidden = forward(params, x)
     jac = np.empty((m, d * m * m))
     back = np.eye(m)
     for k in range(d - 1, -1, -1):
-        phi = 1.0 - np.tanh(pre[k]) ** 2
+        phi = 1.0 - np.tanh(params.layers[k] @ hidden[k]) ** 2
         block = np.einsum("ai,j->aij", back * phi[None, :], hidden[k])
         jac[:, k * m * m : (k + 1) * m * m] = block.reshape(m, m * m)
         back = back @ (phi[:, None] * params.layers[k]) + back
@@ -296,21 +290,21 @@ def teacher_student_data(cfg, rng):
     The teacher occupies the deepest ``teacher_depth`` layers (entries
     N(0, teacher_weight_variance)); the leading layers are zero, i.e.
     identity mappings.  Inputs are i.i.d. standard normal; labels are
-    noiseless teacher outputs.
+    noiseless teacher outputs.  The third value, ``make_test(n, rng)``, draws
+    labelled inputs exactly as :func:`population_risk_mc` draws its test set.
     """
     m, d = cfg.m, cfg.d
     sd = math.sqrt(cfg.teacher_weight_variance)
     layers = [np.zeros((m, m)) for _ in range(d - cfg.teacher_depth)]
     layers += [sd * rng.standard_normal((m, m)) for _ in range(cfg.teacher_depth)]
     teacher = ResNetParams(layers)
-    xs = rng.standard_normal((cfg.n_train, m))
-    train = Dataset(xs, forward_batch(teacher, xs))
+    return teacher, _labelled(teacher, cfg.n_train, rng), functools.partial(_labelled, teacher)
 
-    def make_test(n_test, test_rng):
-        txs = test_rng.standard_normal((int(n_test), m))
-        return Dataset(txs, forward_batch(teacher, txs))
 
-    return teacher, train, make_test
+def _labelled(teacher, n, rng):
+    """n standard-normal inputs from ``rng``, labelled by the teacher's outputs."""
+    xs = rng.standard_normal((int(n), teacher.m))
+    return Dataset(xs, forward_batch(teacher, xs))
 
 
 def teacher_student_problem(cfg):
@@ -399,9 +393,8 @@ def population_risk_mc(posterior, teacher, cfg, n_test, n_weights, seed):
         raise ValueError(f"need n_test >= 1 and n_weights >= 1, got {n_test} and {n_weights}")
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     streams = ss.spawn(n_weights + 1)
-    test_rng = np.random.default_rng(streams[-1])
-    xs = test_rng.standard_normal((int(n_test), cfg.m))
-    xs_t, ys_t = (np.array(a.T, order="C") for a in (xs, forward_batch(teacher, xs)))
+    test = _labelled(teacher, n_test, np.random.default_rng(streams[-1]))
+    xs_t, ys_t = (np.array(a.T, order="C") for a in (test.xs, test.ys))
     out, buf = np.empty_like(xs_t), np.empty_like(xs_t)
     risks = np.empty(n_weights)
     for i in range(n_weights):
@@ -413,7 +406,7 @@ def population_risk_mc(posterior, teacher, cfg, n_test, n_weights, seed):
         np.copyto(out, xs_t)
         _forward_columns(layers, out, buf)
         out -= ys_t
-        risks[i] = np.vdot(out, out) / xs.shape[0]
+        risks[i] = np.vdot(out, out) / test.n
     estimate = float(risks.mean())
     stderr = float(risks.std(ddof=1) / math.sqrt(n_weights)) if n_weights > 1 else 0.0
     return estimate, stderr

@@ -54,11 +54,6 @@ class ProductSpace:
     def ndim(self):
         return len(self.axis_sizes)
 
-    def drop_last_axis(self):
-        if self.ndim < 2:
-            raise ValueError("cannot drop the only axis of a space")
-        return ProductSpace(self.axis_sizes[:-1])
-
 
 def _readonly(arr, dtype=float):
     arr = np.array(arr, dtype=dtype, copy=True).reshape(-1)
@@ -167,7 +162,7 @@ class ScaleMap:
         """Project onto all but the last coordinate (drop the deepest axis)."""
         last = source.axis_sizes[-1]
         t = cls.__new__(cls)  # the map is valid by construction
-        t.source, t.target, t._fiber = source, source.drop_last_axis(), last
+        t.source, t.target, t._fiber = source, ProductSpace(source.axis_sizes[:-1]), last
         t.map = np.arange(source.size) // last
         t.map.setflags(write=False)
         return t
@@ -206,13 +201,13 @@ class ConditionalTable:
     def __init__(self, p, t, image):
         if t.source.axis_sizes != p.space.axis_sizes:
             raise SpaceMismatch("scale map source differs from the distribution's space")
-        defined = image.probs > TOL.conditional_row_mass
+        defined = image.probs > 0.0
         fiber_mass = _lift(image.probs, t.map, t.fiber)
         if defined.all():
             probs = np.divide(p.probs, fiber_mass, out=fiber_mass)
         else:
             probs = np.divide(p.probs, fiber_mass, out=np.zeros(t.source.size),
-                              where=fiber_mass > TOL.conditional_row_mass)
+                              where=fiber_mass > 0.0)
         probs.setflags(write=False)
         defined.setflags(write=False)
         self.given_space = t.target

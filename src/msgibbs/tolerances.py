@@ -14,8 +14,6 @@ class Tolerances:
     symmetry: float = 1e-10
     # smallest accepted diagonal entry of a Cholesky factor
     cholesky_pivot_floor: float = 1e-12
-    # coarse outcomes with mass at or below zero have undefined conditionals
-    conditional_row_mass: float = 0.0
     # closed-form divergences may round this far below zero before clipping
     divergence_rounding: float = 1e-8
     # boundary density relative to peak accepted by the quadrature oracle

@@ -285,6 +285,24 @@ def test_experiment_matches_golden(tmp_path):
         np.testing.assert_allclose(values, expected, rtol=1e-8, atol=0.0)
 
 
+def test_solve_tabular_without_out_writes_the_report_to_stdout(capsys):
+    assert run(["solve-tabular", "--config", str(CONFIGS / "solve_tabular_binary3.json")]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (GOLDEN / "solve_tabular_binary3.json").read_text()
+
+
+def test_experiment_without_out_writes_rows_then_summary_to_stdout(tmp_path, capsys):
+    cfg = str(CONFIGS / "experiment_smoke.json")
+    out = tmp_path / "smoke.csv"
+    assert run(["experiment", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert run(["experiment", "--config", cfg]) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == out.read_text() + (tmp_path / "smoke_summary.csv").read_text()
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_experiment_workers_below_one_is_a_config_error(capsys, workers):
     cfg = str(CONFIGS / "experiment_smoke.json")
@@ -538,6 +556,18 @@ def binary3_chain(source=(2, 2, 2), target=(2, 2), map_entry=None):
         ("solve-gaussian", "solve_gaussian_demo.json", {"energy": {"K": [2.0, 0.3]}}, "$.energy"),
         ("solve-gaussian", "solve_gaussian_demo.json",
          {"energy": {"K": [2.0, 0.3, 0.1, 0.3, 1.5, 0.0, 0.1, 0.0, 1.0], "g": [0.2]}}, "$.energy"),
+        # a missing space or schedule, unknown kinds and algorithms, a depth that is not the
+        # partition's, and grids that are empty, out of range or have no points
+        ("solve-tabular", "solve_tabular_binary3.json", {"axis_sizes": DROP}, "$"),
+        ("solve-tabular", "solve_tabular_binary3.json", {"sigma": DROP}, "$"),
+        ("bounds", "bounds_teacher_student.json", {"kind": "foo"}, "$.kind"),
+        ("bounds", "bounds_gaussian_demo.json", {"d": 3}, "$"),
+        ("solve-gaussian", "solve_gaussian_demo.json", {"algorithm": "foo"}, "$.algorithm"),
+        ("experiment", "experiment_smoke.json", {"alpha_grid": []}, "$.alpha_grid"),
+        ("experiment", "experiment_smoke.json", {"alpha_grid": [1.0]}, "$.alpha_grid"),
+        ("experiment", "experiment_smoke.json",
+         {"sigma1_grid": {"log10_min": -6.0, "log10_max": -3.0, "points": 0}},
+         "$.sigma1_grid.points"),
     ],
 )
 def test_config_errors_print_one_prefixed_line(tmp_path, capsys, command, config_name, change,

@@ -57,6 +57,14 @@ def test_alpha_schedule():
             ms.alpha_schedule(0.5, 1e-3, d)
 
 
+@pytest.mark.parametrize("sigma1", [0.0, -1.0, math.nan])
+def test_alpha_schedule_takes_the_schedule_rule_on_sigma1(sigma1):
+    # TemperatureSchedule states sigma_1 > 0 once, for every schedule
+    for alpha in (0.0, 0.5):
+        with pytest.raises(ValueError, match="sigma_1 must be > 0"):
+            ms.alpha_schedule(alpha, sigma1, 3)
+
+
 def test_single_scale_reductions():
     rng = np.random.default_rng(0)
     space = mt.ProductSpace((2, 3))
