@@ -151,7 +151,8 @@ def cmd_solve_tabular(args):
         if chain_cfg == "decimation":
             backend = ms.TabularBackend.decimation(space, sched.depth)
         elif isinstance(chain_cfg, list):
-            backend = ms.TabularBackend(_list(chain_cfg, "$.chain", _scale_map))
+            with _config_phase("$.chain"):
+                backend = ms.TabularBackend(_list(chain_cfg, "$.chain", _scale_map))
         else:
             raise ConfigError(f"$.chain: must be 'decimation' or a list, got {chain_cfg!r}")
         ms.check_depth(backend, sched.depth)
@@ -278,7 +279,8 @@ def _scale_map(cfg, path):
     """A ``ScaleMap`` from its JSON object; sizes and map entries must be integral."""
     source, target, entries = (_sizes(_require(cfg, key, path), f"{path}.{key}")
                                for key in ("source_axis_sizes", "target_axis_sizes", "map"))
-    return mt.ScaleMap(mt.ProductSpace(source), mt.ProductSpace(target), entries)
+    with _config_phase(path):
+        return mt.ScaleMap(mt.ProductSpace(source), mt.ProductSpace(target), entries)
 
 
 def _resolve_experiment(cfg, seed_override):

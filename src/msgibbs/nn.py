@@ -21,7 +21,6 @@ normals give the same weights as :func:`gaussian.sample` on the dense form.
 point i of the sorted grid draws from ``SeedSequence(seed, spawn_key=(1, i))``.
 """
 
-import concurrent.futures  # loads the process pool and multiprocessing on first use
 import contextlib
 import ctypes
 import functools
@@ -159,16 +158,14 @@ class TeacherStudentConfig:
 
 
 def forward(params, x):
-    """Residual forward pass: h_i = tanh(W_i h_{i-1}) + h_{i-1}.
-
-    Returns (output, [h_0, ..., h_d]).
-    """
-    h = np.asarray(x, dtype=float).reshape(-1)
-    if h.size != params.m:
-        raise DimensionMismatch(f"input has dim {h.size}, network width is {params.m}")
+    """Residual forward pass h_i = tanh(W_i h_{i-1}) + h_{i-1} of one input (m,) or a batch
+    (n, m); returns (output, [h_0, ..., h_d]), each of the input's shape."""
+    h = np.asarray(x, dtype=float)
+    if h.ndim not in (1, 2) or h.shape[-1] != params.m:
+        raise DimensionMismatch(f"input has shape {h.shape}, network width is {params.m}")
     hidden = [h]
     for w in params.layers:
-        h = np.tanh(w @ h) + h
+        h = np.tanh(h @ w.T) + h
         hidden.append(h)
     return h, hidden
 
@@ -213,7 +210,8 @@ def empirical_risk(params, data):
 
 
 def weight_jacobian(params, x):
-    """Jacobian of the network output w.r.t. the flattened weights, (m, d m^2).
+    """Jacobian of the network output w.r.t. the flattened weights: (m, d m^2) for one
+    input (m,), (n, m, d m^2) for a batch (n, m).
 
     Reverse-mode through the hidden states of :func:`forward`: with B the
     running output-to-hidden Jacobian and z_k = W_k h_{k-1}, the layer-k
@@ -221,44 +219,37 @@ def weight_jacobian(params, x):
     """
     m, d = params.m, params.d
     _, hidden = forward(params, x)
-    jac = np.empty((m, d * m * m))
+    lead = hidden[0].shape[:-1]
+    jac = np.empty((*lead, m, d, m, m))
     back = np.eye(m)
     for k in range(d - 1, -1, -1):
-        phi = 1.0 - np.tanh(params.layers[k] @ hidden[k]) ** 2
-        block = np.einsum("ai,j->aij", back * phi[None, :], hidden[k])
-        jac[:, k * m * m : (k + 1) * m * m] = block.reshape(m, m * m)
-        back = back @ (phi[:, None] * params.layers[k]) + back
-    return jac
+        h, w = hidden[k], params.layers[k]
+        phi = 1.0 - np.tanh(h @ w.T) ** 2
+        jac[..., k, :, :] = (back * phi[..., None, :])[..., None] * h[..., None, None, :]
+        back = back @ (phi[..., None] * w) + back
+    return jac.reshape(*lead, m, d * m * m)
 
 
 def gauss_newton_energy(params0, data):
     """Gauss-Newton quadratic model of the empirical risk around ``params0``.
 
-    With residuals r_i and Jacobians J_i at the expansion point:
-    c = L_S(params0), g = (2/n) sum J_i' r_i, K = (2/n) sum J_i' J_i,
-    re-expressed in absolute weight coordinates.  The model's value and
-    gradient at ``params0`` match the true loss exactly.
+    With the residuals r (n*m) and the Jacobians J (n*m, d m^2) of the training
+    set stacked at the expansion point: c = L_S(params0) = r'r/n, g = (2/n) J'r,
+    K = (2/n) J'J, re-expressed in absolute weight coordinates.  The model's
+    value and gradient at ``params0`` match the true loss exactly.
     """
-    n = data.n
-    dim = params0.d * params0.m**2
-    K = np.zeros((dim, dim))
-    g = np.zeros(dim)
-    c = 0.0
-    for i in range(n):
-        out, _ = forward(params0, data.xs[i])
-        r = out - data.ys[i]
-        jac = weight_jacobian(params0, data.xs[i])
-        K += jac.T @ jac
-        g += jac.T @ r
-        c += float(r @ r)
-    K *= 2.0 / n
-    g *= 2.0 / n
-    c /= n
+    out, _ = forward(params0, data.xs)
+    r = (out - data.ys).reshape(-1)
+    jac = weight_jacobian(params0, data.xs).reshape(r.size, -1)
+    K = jac.T @ jac
+    K *= 2.0 / data.n
+    g = (2.0 / data.n) * (jac.T @ r)
+    c = float(r @ r) / data.n
     w0 = params0.flat()
     if np.any(w0 != 0.0):
         c = c - float(g @ w0) + 0.5 * float(w0 @ K @ w0)
         g = g - K @ w0
-    return QuadraticEnergy(0.5 * (K + K.T), g, c)
+    return QuadraticEnergy(K, g, c)
 
 
 def layer_partition(m, d):
@@ -467,6 +458,7 @@ def teacher_student_sweep(cfg, alphas, sigma1s, n_test, n_weights, workers=1):
         run = functools.partial(_sweep_point, cfg, teacher, train, n_test, n_weights)
         workers = min(workers, -(-len(grid) // 4))
         if workers > 1:
+            import concurrent.futures  # loads logging: only a pool pays for it
             with concurrent.futures.ProcessPoolExecutor(
                 max_workers=workers, initializer=_set_blas_threads, initargs=(1,)
             ) as pool:

@@ -135,10 +135,10 @@ class ScaleMap:
 
     ``fiber`` is the width k when the fibers are contiguous blocks of k source
     states, ``map == arange(source.size) // k`` with ``source.size == k * target.size``
-    (a decimation's, for one), else ``None``; an explicit map finds it on first read.
+    (a decimation's, for one), else ``None``.
     """
 
-    __slots__ = ("source", "target", "map", "_fiber")
+    __slots__ = ("source", "target", "map", "fiber")
 
     def __init__(self, source, target, mapping):
         given = np.asarray(mapping).reshape(-1)
@@ -156,26 +156,18 @@ class ScaleMap:
         self.source = source
         self.target = target
         self.map = mapping
+        k = source.size // target.size  # the blocks are too short unless k divides
+        self.fiber = k if np.array_equal(mapping, np.repeat(np.arange(target.size), k)) else None
 
     @classmethod
     def decimation(cls, source):
         """Project onto all but the last coordinate (drop the deepest axis)."""
         last = source.axis_sizes[-1]
         t = cls.__new__(cls)  # the map is valid by construction
-        t.source, t.target, t._fiber = source, ProductSpace(source.axis_sizes[:-1]), last
+        t.source, t.target, t.fiber = source, ProductSpace(source.axis_sizes[:-1]), last
         t.map = np.arange(source.size) // last
         t.map.setflags(write=False)
         return t
-
-    @property
-    def fiber(self):
-        try:
-            return self._fiber
-        except AttributeError:
-            k = self.source.size // self.target.size
-            blocks = np.repeat(np.arange(self.target.size), k)  # too short unless k divides
-            self._fiber = k if np.array_equal(self.map, blocks) else None
-            return self._fiber
 
 
 def _lift(values, mapping, fiber):

@@ -5,7 +5,7 @@ import pytest
 
 from msgibbs import bounds as mb
 from msgibbs import gaussian as mg
-from msgibbs.errors import NegativeDivergenceInput, NonIntegerTeacherDepth
+from msgibbs.errors import DimensionMismatch, NegativeDivergenceInput, NonIntegerTeacherDepth
 
 
 def random_gaussian(dim, rng, scale=1.0):
@@ -226,3 +226,17 @@ def test_bound_report_evaluates_divergences_once(monkeypatch):
         assert rep["excess_risk_multiscale"] == multi
         divs = divergence_per_scale(qhat, prior, partition)
         assert multi == mb.generalization_bound_value(divs, cfg)
+
+
+def test_bound_guards_reject_what_they_cannot_evaluate():
+    rng = np.random.default_rng(0)
+    prior = random_gaussian(3, rng)
+    partition = mg.BlockPartition((1, 2))
+    with pytest.raises(ValueError, match="scale index must be in"):
+        mb.dpg(random_gaussian(3, rng), prior, partition, 0)
+    with pytest.raises(NegativeDivergenceInput):
+        mb.gamma_star(-1.0)
+    with pytest.raises(TypeError, match="unsupported reference posterior"):
+        mb.divergence_per_scale(prior.mean, prior, partition)
+    with pytest.raises(DimensionMismatch, match="disagree on d"):
+        mb.divergence_per_scale(mb.DiracReference((0.0, 1.0, 1.0)), prior, partition)

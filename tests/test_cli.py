@@ -550,9 +550,19 @@ def binary3_chain(source=(2, 2, 2), target=(2, 2), map_entry=None):
         ("solve-gaussian", "solve_gaussian_demo.json", {"energy": 5}, "$.energy"),
         ("bounds", "bounds_teacher_student.json", {"teacher_student": 3}, "$.teacher_student"),
         ("solve-tabular", "solve_tabular_binary3.json", {"chain": [1]}, "$.chain[0]"),
+        # an explicit chain's maps name their place in it; maps that do not chain, the chain
+        ("solve-tabular", "solve_tabular_binary3.json",
+         {"sigma": [1.0, 0.75, 0.5], "chain": [
+             {"source_axis_sizes": [2, 2, 2], "target_axis_sizes": [2, 2],
+              "map": [0, 0, 1, 1, 2, 2, 3]}, binary3_chain()["chain"][1]]}, "$.chain[0]"),
+        ("solve-tabular", "solve_tabular_binary3.json", binary3_chain(map_entry=(7, 4)),
+         "$.chain[0]"),
+        ("solve-tabular", "solve_tabular_binary3.json", binary3_chain(target=[2, 3]), "$.chain"),
         # tables and energies of the wrong size name their key
         ("solve-tabular", "solve_tabular_binary3.json", {"energy": [1.0]}, "$.energy"),
         ("solve-tabular", "solve_tabular_binary3.json", {"reference": [1.0]}, "$.reference"),
+        ("solve-tabular", "solve_tabular_binary3.json",
+         {"energy": [0.1, 0.55, math.nan, 0.85, 0.2, 0.45, 0.9, 0.05]}, "$.energy"),
         ("solve-gaussian", "solve_gaussian_demo.json", {"energy": {"K": [2.0, 0.3]}}, "$.energy"),
         ("solve-gaussian", "solve_gaussian_demo.json",
          {"energy": {"K": [2.0, 0.3, 0.1, 0.3, 1.5, 0.0, 0.1, 0.0, 1.0], "g": [0.2]}}, "$.energy"),
@@ -560,6 +570,7 @@ def binary3_chain(source=(2, 2, 2), target=(2, 2), map_entry=None):
         # partition's, and grids that are empty, out of range or have no points
         ("solve-tabular", "solve_tabular_binary3.json", {"axis_sizes": DROP}, "$"),
         ("solve-tabular", "solve_tabular_binary3.json", {"sigma": DROP}, "$"),
+        ("solve-tabular", "solve_tabular_binary3.json", {"sigma": [1.0, 0.75, 0.5, 0.25]}, "$"),
         ("bounds", "bounds_teacher_student.json", {"kind": "foo"}, "$.kind"),
         ("bounds", "bounds_gaussian_demo.json", {"d": 3}, "$"),
         ("solve-gaussian", "solve_gaussian_demo.json", {"algorithm": "foo"}, "$.algorithm"),
@@ -620,6 +631,20 @@ def test_unwritable_out_prints_one_error_line(tmp_path, capsys, monkeypatch, com
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and str(out) in lines[0]
     assert sweeps == []
+
+
+def test_singular_energy_under_max_entropy_prints_one_error_line(tmp_path, capsys):
+    cfg = json.loads((CONFIGS / "solve_gaussian_demo.json").read_text())
+    cfg["algorithm"] = "max-entropy"
+    cfg["energy"]["K"] = [1.0, 1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["solve-gaussian", "--config", str(path)]) == cli.EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: entropy maximization needs a strictly PD quadratic energy: Singular matrix\n"
+    )
 
 
 def test_failed_guard_during_a_solve_prints_one_error_line(tmp_path, capsys):

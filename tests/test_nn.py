@@ -77,6 +77,14 @@ def test_forward_batch_matches_loop():
             assert np.allclose(batched[i], single)
 
 
+@pytest.mark.parametrize("shape", [(4,), (2, 4), (3, 1)])
+def test_forward_rejects_inputs_of_the_wrong_width(shape):
+    # (3, 1) is a batch of three width-1 inputs, not one width-3 input
+    params = mn.ResNetParams.zeros(3, 2)
+    with pytest.raises(DimensionMismatch, match="network width is 3"):
+        mn.forward(params, np.zeros(shape))
+
+
 def test_residual_increment_check():
     rng = np.random.default_rng(3)
     m, d = 4, 3
@@ -180,6 +188,44 @@ def test_gauss_newton_energy():
     w0 = p1.flat()
     assert e1.gradient(w0)[0] == pytest.approx(2 * r * dh)
     assert e1.K[0, 0] == pytest.approx(2 * dh * dh)
+
+
+@pytest.mark.parametrize("scale", [0.0, 0.3])
+@pytest.mark.parametrize("m, d, n", [(1, 1, 1), (3, 2, 10), (4, 3, 2), (10, 4, 30)])
+def test_gauss_newton_energy_matches_the_per_sample_sums(m, d, n, scale):
+    rng = np.random.default_rng(100 * m + 10 * d + n)
+    params = small_params(rng, m, d, scale)
+    xs, ys = rng.standard_normal((2, n, m))
+    jacs = np.array([mn.weight_jacobian(params, x) for x in xs])
+    # a batch of inputs gives the stack of their one-input Jacobians
+    batched = mn.weight_jacobian(params, xs)
+    assert batched.shape == (n, m, d * m * m)
+    assert np.abs(batched - jacs).max() <= 1e-14 * np.abs(jacs).max()
+    K = np.zeros((d * m * m, d * m * m))
+    g = np.zeros(d * m * m)
+    c = 0.0
+    for x, y, jac in zip(xs, ys, jacs):
+        r = mn.forward(params, x)[0] - y
+        K += (2.0 / n) * jac.T @ jac
+        g += (2.0 / n) * jac.T @ r
+        c += float(r @ r) / n
+    w0 = params.flat()
+    c, g = c - g @ w0 + 0.5 * w0 @ K @ w0, g - K @ w0
+    energy = mn.gauss_newton_energy(params, mn.Dataset(xs, ys))
+    for got, want in ((energy.K, K), (energy.g, g), (energy.c, c)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    # only a sweep with workers > 1 imports concurrent.futures (and logging with it)
+    code = ("import sys, msgibbs.cli; "
+            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+    src = os.path.dirname(os.path.dirname(mn.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True).stdout
+    assert loaded == "[]\n"
 
 
 def test_gauss_newton_nonzero_expansion_point():
