@@ -46,6 +46,9 @@ oracle = mo.minimize_tabular("min-relative-entropy", f, q, sched, backend.chain)
 print("TV(solution, oracle) =", mt.total_variation(solution, oracle))
 obj = ms.min_relative_entropy_objective(solution, f, q, sched, backend.chain)
 print("objective value      =", obj)
+value, log_p = mo.exact_tabular("min-relative-entropy", f, q, sched, backend.chain)
+print("TV(solution, exact)  =", 0.5 * np.abs(solution.probs - np.exp(log_p)).sum())
+print("exact optimal value  =", value)
 
 # The single-scale reduction: trailing zero weights give the plain Gibbs law.
 single = ms.TemperatureSchedule(1.0, (1.0, 0.0, 0.0))

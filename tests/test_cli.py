@@ -168,14 +168,14 @@ def test_solve_tabular_no_verify(tmp_path):
     assert "oracle" not in report and "tv_to_oracle" not in report
 
 
-def above_cap_config(tmp_path):
+def above_cap_config(tmp_path, n_axes):
     rng = np.random.default_rng(3)
-    size = 2**13
+    size = 2**n_axes
     cfg = {
-        "axis_sizes": [2] * 13,
+        "axis_sizes": [2] * n_axes,
         "energy": rng.uniform(0.0, 1.0, size).tolist(),
         "reference": np.full(size, 1.0 / size).tolist(),
-        "sigma": [1.0] + [0.5] * 12,
+        "sigma": [1.0] + [0.5] * (n_axes - 1),
         "algorithm": "min-rel-entropy",
     }
     path = tmp_path / "big.json"
@@ -183,21 +183,37 @@ def above_cap_config(tmp_path):
     return path
 
 
-def test_solve_tabular_verify_above_oracle_cap(tmp_path, capsys):
+@pytest.mark.parametrize("n_axes", [13, 16])
+def test_solve_tabular_verify_above_oracle_cap(tmp_path, n_axes):
+    # the exact oracle verifies past the mirror-descent oracle's 4096 states
     out = tmp_path / "out.json"
-    argv = ["solve-tabular", "--config", str(above_cap_config(tmp_path)), "--out", str(out)]
-    assert run(argv) == cli.EXIT_ERROR
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and len(err.strip().splitlines()) == 1
-    assert "4096" in err and "--no-verify" in err and "Traceback" not in err
-    assert not out.exists()
+    argv = ["solve-tabular", "--config", str(above_cap_config(tmp_path, n_axes)), "--out", str(out)]
+    assert run(argv) == cli.EXIT_OK
+    report = json.loads(out.read_text())
+    assert report["verified"] is True and report["tv_to_oracle"] <= 1e-12
+    assert len(report["oracle"]["probs"]) == 2**n_axes
 
     assert run(argv + ["--no-verify"]) == cli.EXIT_OK
     report = json.loads(out.read_text())
     probs = np.asarray(report["solution"]["probs"])
-    assert probs.size == 2**13 and probs.min() >= 0.0
+    assert probs.size == 2**n_axes and probs.min() >= 0.0
     assert abs(probs.sum() - 1.0) <= 1e-12
-    assert "tv_to_oracle" not in report
+    assert "tv_to_oracle" not in report and "oracle" not in report
+
+
+@pytest.mark.parametrize("algorithm", ["max-entropy", "min-rel-entropy", "mt"])
+def test_solve_tabular_verifies_at_the_sweeps_largest_alpha(tmp_path, algorithm):
+    # alpha = 0.999 weights the coarsest scale 1e6 times the finest: mirror descent does
+    # not converge there, the value recursion is exact
+    cfg = json.loads((CONFIGS / "solve_tabular_binary3.json").read_text())
+    del cfg["sigma"]
+    cfg.update(alpha=0.999, sigma1=1, d=3, algorithm=algorithm)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out.json"
+    assert run(["solve-tabular", "--verify", "--config", str(path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["verified"] is True and report["tv_to_oracle"] <= 1e-12
 
 
 def test_solve_gaussian(tmp_path):

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,10 @@ import pytest
 from msgibbs import multiscale as ms
 from msgibbs import oracle as mo
 from msgibbs import tabular as mt
-from msgibbs.errors import MassLeakage, NonConvergence, SpaceMismatch
+from msgibbs.errors import MassLeakage, NonConvergence, NumericalGuard, SpaceMismatch
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def random_dist(space, rng, low=0.05):
@@ -180,8 +185,9 @@ def test_chain_on_the_wrong_space_is_rejected():
     for chain in (other_first, broken_second):
         sched = ms.TemperatureSchedule(1.0, (1.0, 0.5, 0.25)[: len(chain) + 1])
         for kind in ("min-relative-entropy", "max-entropy"):
-            with pytest.raises(SpaceMismatch):
-                mo.minimize_tabular(kind, f, q, sched, chain)
+            for oracle in (mo.minimize_tabular, mo.exact_tabular):
+                with pytest.raises(SpaceMismatch):
+                    oracle(kind, f, q, sched, chain)
 
 
 @pytest.mark.parametrize(
@@ -192,3 +198,102 @@ def test_quadrature_rejects_unsupported_boxes(monkeypatch, lower, upper):
     monkeypatch.setattr(mo, "TOL", dataclasses.replace(mo.TOL, quadrature_grid_points=5))
     with pytest.raises(ValueError, match="1-D and 2-D boxes"):
         mo.quadrature_density_moments(lambda pts: np.zeros(len(pts)), lower, upper)
+
+
+def binary3():
+    cfg = json.loads((CONFIGS / "solve_tabular_binary3.json").read_text())
+    space = mt.ProductSpace(tuple(cfg["axis_sizes"]))
+    return mt.EnergyTable(space, cfg["energy"]), mt.TabularDist(space, cfg["reference"])
+
+
+def test_exact_single_scale_is_the_gibbs_distribution_and_its_log_normalizer():
+    f, q = binary3()
+    sched = ms.TemperatureSchedule(0.8, (1.2,))
+    value, log_p = mo.exact_tabular("min-relative-entropy", f, q, sched, [])
+    temperature = sched.lam * sched.sigma[0]
+    w = q.probs * np.exp(-f.values / temperature)
+    assert np.abs(np.exp(log_p) - w / w.sum()).max() <= 1e-15
+    assert value == pytest.approx(-temperature * math.log(w.sum()), rel=1e-14)
+    value, log_p = mo.exact_tabular("max-entropy", f, None, sched, [])
+    w = np.exp(-sched.lam * f.values / sched.sigma[0])
+    assert np.abs(np.exp(log_p) - w / w.sum()).max() <= 1e-15
+    assert value == pytest.approx(sched.sigma[0] * math.log(w.sum()), rel=1e-14)
+
+
+def test_exact_and_mirror_descent_agree_where_the_solver_underflows():
+    # sigma_1 = 1e-12: the solver's initial Gibbs underflows on whole fibers (its answer
+    # is not checked here); both oracles keep the coarse weights
+    f, q = binary3()
+    sched = ms.TemperatureSchedule(1.0, (1e-12, 0.5))
+    chain = [mt.ScaleMap.decimation(f.space)]
+    for kind in ("max-entropy", "min-relative-entropy"):
+        _, log_p = mo.exact_tabular(kind, f, q, sched, chain)
+        descent = mo.minimize_tabular(kind, f, q, sched, chain)
+        assert 0.5 * np.abs(np.exp(log_p) - descent.probs).sum() <= 1e-9
+
+
+def test_exact_oracle_keeps_minus_infinity_on_states_without_mass():
+    # coarse state 3 has an empty fiber, and q is zero on the whole fiber of state 1
+    source, target = mt.ProductSpace((6,)), mt.ProductSpace((4,))
+    chain = [mt.ScaleMap(source, target, [0, 0, 1, 1, 2, 2])]
+    f = mt.EnergyTable(source, [0.3, -0.2, 0.5, 0.1, -0.4, 0.0])
+    q = mt.TabularDist.from_weights(source, [1.0, 2.0, 0.0, 0.0, 3.0, 0.0])
+    sched = ms.TemperatureSchedule(1.0, (1.0, 0.7))
+    _, log_p = mo.exact_tabular("min-relative-entropy", f, q, sched, chain)
+    assert np.array_equal(np.isneginf(log_p), q.probs == 0.0)
+    solver = ms.solve_min_relative_entropy(f, q, sched, ms.TabularBackend(chain))
+    assert mt.total_variation(mt.TabularDist(source, np.exp(log_p)), solver) <= 1e-15
+
+
+def test_exact_oracle_rejections():
+    f, q = binary3()
+    chain = [mt.ScaleMap.decimation(f.space)]
+    sched = ms.TemperatureSchedule(1.0, (1.0, 0.5))
+    with pytest.raises(ValueError, match="unknown objective"):
+        mo.exact_tabular("bogus", f, q, sched, chain)
+    with pytest.raises(SpaceMismatch):
+        mo.exact_tabular("max-entropy", f, None, sched, [])
+    other = mt.TabularDist.uniform(mt.ProductSpace((8,)))
+    with pytest.raises(SpaceMismatch):
+        mo.exact_tabular("min-relative-entropy", f, other, sched, chain)
+    # -lam f / sigma_1 overflows to +inf on the states with negative energy
+    negative = mt.EnergyTable(f.space, f.values - 0.5)
+    tiny = ms.TemperatureSchedule(1.0, (1e-320, 0.5))
+    with pytest.raises(NumericalGuard):
+        mo.exact_tabular("max-entropy", negative, None, tiny, chain)
+
+
+def value_rounding_scale(sched, n_states):
+    """How far two float evaluations of a multiscale value may differ.
+
+    The value sums, over up to n states, terms of size up to lam * sum(sigma) * (log n + 3)
+    (an entropy is at most log n, and sum p |log(p / q)| is at most D + 2) plus E[f] with
+    |f| <= 1; pairwise summation rounds each sum by up to log2(n) eps of its size.
+    """
+    eps = np.finfo(float).eps
+    return eps * math.log2(n_states) * (math.log(n_states) + 3.0) * (
+        1.0 + sched.lam * sum(sched.sigma))
+
+
+@pytest.mark.parametrize("n_axes", [16, 18])
+@pytest.mark.parametrize("alpha", [0.5, 0.999])
+def test_exact_value_is_the_objective_of_the_solution(n_axes, alpha):
+    # max-entropy is maximized and min-relative-entropy minimized: the value carries each
+    # objective's own sign.  At alpha = 0.999, sigma_6 is 1e15 and the objectives keep
+    # only the digits above that rounding scale.
+    rng = np.random.default_rng(n_axes)
+    space = mt.ProductSpace((2,) * n_axes)
+    f = mt.EnergyTable(space, rng.uniform(0.0, 1.0, space.size))
+    q = mt.TabularDist.from_weights(space, rng.uniform(0.1, 1.1, space.size))
+    sched = ms.alpha_schedule(alpha, 1.0, 6)
+    backend = ms.TabularBackend.decimation(space, sched.depth)
+    bound = value_rounding_scale(sched, space.size)
+
+    solution = ms.solve_max_entropy(f, sched, backend)
+    value, _ = mo.exact_tabular("max-entropy", f, None, sched, backend.chain)
+    assert abs(value - ms.max_entropy_objective(solution, f, sched, backend.chain)) <= bound
+
+    solution = ms.solve_min_relative_entropy(f, q, sched, backend)
+    value, _ = mo.exact_tabular("min-relative-entropy", f, q, sched, backend.chain)
+    objective = ms.min_relative_entropy_objective(solution, f, q, sched, backend.chain)
+    assert abs(value - objective) <= bound

@@ -1,7 +1,9 @@
 """Property tests of the solvers at the edges the library ships.
 
 Tabular: decimation chains and random scale-map chains with uneven and
-empty fibers, references with zero-mass fibers, and sigma_i = 0 steps.
+empty fibers, references with zero-mass fibers, and sigma_i = 0 steps; the
+exact oracle against the solvers there, and against mirror descent with sigma_1
+on the experiment's grid and alpha up to 0.99.
 Gaussian: random block partitions and temperature schedules with sigma_1
 across the experiment's grid 10^-9.5 ... 10^-2.5.
 Teacher-student: the reduced posterior against the dense one, on random
@@ -37,15 +39,17 @@ weights = st.one_of(st.just(0.0), st.floats(0.25, 2.0))
 
 
 @st.composite
-def chains(draw):
-    """A decimation chain or a random chain of scale maps, on at most 4096 states."""
+def chains(draw, min_maps=0):
+    """A decimation chain or a random chain of at least ``min_maps`` scale maps, on at
+    most 4096 states."""
     if draw(st.booleans()):
-        axes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+        axes = draw(st.lists(st.integers(1, 4), min_size=1 + min_maps, max_size=6))
         space = mt.ProductSpace(tuple(axes))
-        return ms.TabularBackend.decimation(space, draw(st.integers(1, space.ndim))).chain, space
+        depth = draw(st.integers(1 + min_maps, space.ndim))
+        return ms.TabularBackend.decimation(space, depth).chain, space
     rng = np.random.default_rng(draw(seeds))
     sizes = [draw(st.integers(1, mo.MAX_ORACLE_STATES))]
-    for _ in range(draw(st.integers(0, 3))):
+    for _ in range(draw(st.integers(min_maps, 3))):
         # up to two more targets than sources, so some fibers are empty
         sizes.append(draw(st.integers(1, min(sizes[-1] + 2, 64))))
     spaces = [mt.ProductSpace((n,)) for n in sizes]
@@ -116,6 +120,58 @@ def test_solver_matches_oracle(problem):
     for kind, (solution, _) in solves(f, q, sched, chain):
         oracle = mo.minimize_tabular(kind, f, q, sched, chain)
         assert mt.total_variation(solution, oracle) <= TOL.oracle_agreement_tv
+
+
+@st.composite
+def small_sigma1_problems(draw):
+    """Energy, positive reference, sigma and a temperature c on a chain of at least one map.
+
+    sigma is ``alpha_schedule(alpha, sigma1, depth)`` with sigma1 on the experiment's grid,
+    alpha up to 0.99 and some later steps set to 0; the first map's source states may be
+    permuted.  The energies are distinct multiples of 0.25: mirror descent shrinks the
+    weight of a state g above its fiber's least energy by exp(-step g) per iteration, so
+    near ties, which a continuous draw makes, outlast its iteration cap at these sigma1.
+    """
+    chain, space = draw(chains(min_maps=1))
+    rng = np.random.default_rng(draw(seeds))
+    if draw(st.booleans()):
+        t = chain[0]
+        chain[0] = mt.ScaleMap(t.source, t.target, t.map[rng.permutation(t.source.size)])
+    f = mt.EnergyTable(space, 0.25 * rng.permutation(space.size))
+    q = mt.TabularDist.from_weights(space, rng.uniform(0.05, 1.0, space.size))
+    alpha, sigma1 = draw(st.floats(0.0, 0.99)), draw(st.sampled_from(SIGMA1_GRID))
+    sigma = list(ms.alpha_schedule(alpha, float(sigma1), len(chain) + 1).sigma)
+    for i in range(1, len(sigma)):
+        if draw(st.booleans()):
+            sigma[i] = 0.0
+    return f, q, tuple(sigma), draw(st.floats(0.05, 1.0)), chain
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(small_sigma1_problems())
+def test_exact_oracle_matches_mirror_descent_at_small_sigma1(problem):
+    f, q, sigma, c, chain = problem
+    # the coarsest Gibbs temperature is c: lam * S_d for min-rel-entropy and S_d / lam for
+    # max-entropy, where lam >= 1 keeps the objective on mirror descent's step scale
+    top = sum(sigma)
+    for kind, lam in (("max-entropy", max(1.0, top / c)), ("min-relative-entropy", c / top)):
+        sched = ms.TemperatureSchedule(lam, sigma)
+        _, log_p = mo.exact_tabular(kind, f, q, sched, chain)
+        assert not np.isnan(log_p).any()
+        exact = mt.TabularDist(f.space, np.exp(log_p))
+        descent = mo.minimize_tabular(kind, f, q, sched, chain)
+        assert mt.total_variation(exact, descent) <= TOL.oracle_agreement_tv
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(tabular_problems(positive_q=False))
+def test_exact_oracle_matches_the_solvers(problem):
+    # empty fibers and zeros in q included: a state without mass has log p = -inf, not nan
+    f, q, sched, chain = problem
+    for kind, (solution, _) in solves(f, q, sched, chain):
+        value, log_p = mo.exact_tabular(kind, f, q, sched, chain)
+        assert not np.isnan(log_p).any() and math.isfinite(value)
+        assert mt.total_variation(mt.TabularDist(f.space, np.exp(log_p)), solution) <= 1e-12
 
 
 @st.composite
