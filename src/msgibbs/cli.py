@@ -120,16 +120,20 @@ def _csv_line(*values):
 
 
 def _schedule_from(cfg, path="$"):
+    """The schedule of ``sigma`` or of ``alpha``, ``sigma1`` and ``d``, with ``lambda``."""
+    if "sigma" in cfg and "alpha" in cfg:
+        raise ConfigError(f"{path}: a schedule takes 'sigma' or 'alpha', not both")
     if "sigma" in cfg:
-        lam = _number(cfg.get("lambda", 1.0), f"{path}.lambda")
-        return ms.TemperatureSchedule(lam, tuple(_list(cfg["sigma"], f"{path}.sigma")))
-    if "alpha" in cfg:
-        return ms.alpha_schedule(
+        sigma = _list(cfg["sigma"], f"{path}.sigma")
+    elif "alpha" in cfg:
+        sigma = ms.alpha_schedule(
             _number(cfg["alpha"], f"{path}.alpha"),
             _number(_require(cfg, "sigma1", path), f"{path}.sigma1"),
             _integral(_require(cfg, "d", path), f"{path}.d"),
-        )
-    raise ConfigError(f"{path}: need 'sigma' or 'alpha'")
+        ).sigma
+    else:
+        raise ConfigError(f"{path}: need 'sigma' or 'alpha'")
+    return ms.TemperatureSchedule(_number(cfg.get("lambda", 1.0), f"{path}.lambda"), sigma)
 
 
 def cmd_solve_tabular(args):
@@ -151,24 +155,17 @@ def cmd_solve_tabular(args):
         else:
             raise ConfigError(f"$.chain: must be 'decimation' or a list, got {chain_cfg!r}")
         ms.check_depth(backend, sched.depth)
-        if algorithm == "mt" and not backend.is_decimation:
-            raise ConfigError("$.chain: marginalize-tilt ('mt') needs a decimation chain")
         reference = None
         if algorithm in ("min-rel-entropy", "mt"):
             with _config_phase("$.reference"):
                 reference = mt.TabularDist(space, _require(cfg, "reference"))
-            if args.verify and reference.probs.min() <= 0.0:
-                raise ConfigError(
-                    "$.reference: --verify needs a strictly positive reference; "
-                    "use --no-verify"
-                )
 
     if algorithm == "max-entropy":
         solution = ms.solve_max_entropy(energy, sched, backend)
         objective = ms.max_entropy_objective(solution, energy, sched, backend.chain)
         oracle_kind = "max-entropy"
     else:
-        # on a decimation chain, 'mt' (solve_mt) and min-rel-entropy are the same solve
+        # 'mt' (solve_mt from the initial Gibbs) and min-rel-entropy are the same solve
         solution = ms.solve_min_relative_entropy(energy, reference, sched, backend)
         objective = ms.min_relative_entropy_objective(
             solution, energy, reference, sched, backend.chain

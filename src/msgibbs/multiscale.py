@@ -13,7 +13,6 @@ microscopic Gibbs distribution object itself without coarse-graining.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -96,12 +95,6 @@ def alpha_schedule(alpha, sigma1, d):
     return TemperatureSchedule(1.0, tuple(sigma))
 
 
-def _drops_last_axis(t):
-    """Whether scale map ``t`` is the decimation of its source space."""
-    sizes = t.source.axis_sizes
-    return len(sizes) > 1 and t.target.axis_sizes == sizes[:-1] and t.fiber == sizes[-1]
-
-
 class TabularBackend:
     """Tabular distributions coarse-grained along an explicit scale-map chain."""
 
@@ -115,11 +108,6 @@ class TabularBackend:
             if left.target.axis_sizes != right.source.axis_sizes:
                 raise SpaceMismatch("scale maps do not chain")
         self.chain = chain
-
-    @cached_property
-    def is_decimation(self):
-        """Whether every map drops the last axis of its source (computed on first read)."""
-        return all(map(_drops_last_axis, self.chain))
 
     @classmethod
     def decimation(cls, space, depth):
@@ -163,7 +151,6 @@ class GaussianBackend:
     Scale i keeps the leading d-i+1 blocks (see :func:`scale_marginals`).
     """
 
-    is_decimation = True
     entropy = staticmethod(mg.differential_entropy)
     divergence = staticmethod(mg.kl_gaussian)
     expectation = staticmethod(mg.expected_quadratic)
@@ -288,12 +275,10 @@ def solve_min_relative_entropy(f, q, sched, backend, with_trace=False):
 def solve_mt(gibbs_dist, q, sched, backend, with_trace=False):
     """Marginalize-tilt solver starting from a precomputed microscopic Gibbs.
 
-    Identical to :func:`solve_min_relative_entropy` on decimation chains;
-    only decimation backends are accepted.  States where a tabular ``gibbs_dist``
-    underflowed to zero stay at zero: no tilt can bring them back.
+    Identical to :func:`solve_min_relative_entropy` on any chain or partition when
+    ``gibbs_dist`` is its initial Gibbs distribution.  States where a tabular
+    ``gibbs_dist`` underflowed to zero stay at zero: no tilt can bring them back.
     """
-    if not backend.is_decimation:
-        raise SpaceMismatch("marginalize-tilt requires a decimation backend")
     return _renormalize_and_refine(gibbs_dist, sched, backend, q, with_trace)
 
 

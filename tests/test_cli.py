@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from msgibbs import cli
+from msgibbs import multiscale as ms
 from msgibbs import nn as mn
 
 REPO = Path(__file__).resolve().parents[1]
@@ -435,15 +436,8 @@ def binary3_chain(source=(2, 2, 2), target=(2, 2), map_entry=None):
             {"d": 4, "teacher_student": {"M": 3.0, "log_inv_q2": 1.0}},
         ),
         ("experiment", "experiment_smoke.json", {"teacher_depth": 9}),
-        # configs the solvers cannot run: 'mt' on a chain that is not a decimation, a
-        # schedule deeper than the chain or the partition, prior blocks short of the prior
-        (
-            "solve-tabular",
-            "solve_tabular_binary3.json",
-            {"sigma": [1.0, 0.5], "chain": [{"source_axis_sizes": [2, 2, 2],
-                                              "target_axis_sizes": [3],
-                                              "map": [0, 0, 1, 1, 1, 2, 2, 2]}]},
-        ),
+        # configs the solvers cannot run: a schedule deeper than the chain or the
+        # partition, prior blocks short of the prior
         (
             "solve-tabular",
             "solve_tabular_binary3.json",
@@ -540,10 +534,6 @@ def binary3_chain(source=(2, 2, 2), target=(2, 2), map_entry=None):
         ("solve-gaussian", "solve_gaussian_demo.json",
          {"energy": {"K": [2.0, 0.3, 0.1, 0.3, 1.5, 0.0, 0.1, 0.0, 1.0],
                      "g": [0.2, -math.inf, 0.4]}}),
-        # a zero in the reference under the default --verify: the oracle needs a positive one
-        ("solve-tabular", "solve_tabular_binary3.json", {"reference": ZERO_REFERENCE}),
-        ("solve-tabular", "solve_tabular_binary3.json",
-         {"reference": ZERO_REFERENCE, "algorithm": "min-rel-entropy"}),
     ]] + [
         # a scalar or an object where a list belongs, and missing Gaussian keys: the line
         # names the key
@@ -587,6 +577,11 @@ def binary3_chain(source=(2, 2, 2), target=(2, 2), map_entry=None):
         ("solve-tabular", "solve_tabular_binary3.json", {"axis_sizes": DROP}, "$"),
         ("solve-tabular", "solve_tabular_binary3.json", {"sigma": DROP}, "$"),
         ("solve-tabular", "solve_tabular_binary3.json", {"sigma": [1.0, 0.75, 0.5, 0.25]}, "$"),
+        # a schedule given twice, as sigma and as alpha: one of them would be ignored
+        ("solve-tabular", "solve_tabular_binary3.json", {"alpha": 0.5, "sigma1": 1.0, "d": 2},
+         "$"),
+        ("solve-gaussian", "solve_gaussian_demo.json", {"alpha": 0.5, "sigma1": 1.0, "d": 2},
+         "$"),
         ("bounds", "bounds_teacher_student.json", {"kind": "foo"}, "$.kind"),
         ("bounds", "bounds_gaussian_demo.json", {"d": 3}, "$"),
         ("solve-gaussian", "solve_gaussian_demo.json", {"algorithm": "foo"}, "$.algorithm"),
@@ -612,22 +607,61 @@ def test_config_errors_print_one_prefixed_line(tmp_path, capsys, command, config
 
 
 @pytest.mark.parametrize("algorithm", ["max-entropy", "min-rel-entropy", "mt"])
-def test_zero_in_the_reference_needs_no_verify(tmp_path, capsys, algorithm):
+def test_zero_in_the_reference_verifies(tmp_path, algorithm):
+    # the exact oracle takes zeros: a state without reference mass gets none in either
     cfg = json.loads((CONFIGS / "solve_tabular_binary3.json").read_text())
     cfg.update(reference=ZERO_REFERENCE, algorithm=algorithm)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    out = str(tmp_path / "out.json")
-    assert run(["solve-tabular", "--no-verify", "--config", str(path), "--out", out]) == 0
-    code = run(["solve-tabular", "--config", str(path), "--out", out])
-    err = capsys.readouterr().err
-    if algorithm == "max-entropy":
-        # max-entropy reads no reference
-        assert code == cli.EXIT_OK and err == ""
-    else:
-        assert code == cli.EXIT_ERROR
-        assert_one_config_error_line(err)
-        assert "$.reference" in err and "--no-verify" in err
+    out = tmp_path / "out.json"
+    assert run(["solve-tabular", "--verify", "--config", str(path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["verified"] is True and report["tv_to_oracle"] <= 1e-12
+    if algorithm != "max-entropy":  # max-entropy reads no reference
+        assert report["solution"]["probs"][0] == 0.0 == report["oracle"]["probs"][0]
+
+
+def test_mt_on_a_chain_that_is_not_a_decimation(tmp_path):
+    # an 8 -> 3 map with uneven fibers: 'mt' is the min-rel-entropy solve on any chain
+    cfg = json.loads((CONFIGS / "solve_tabular_binary3.json").read_text())
+    cfg.update(sigma=[1.0, 0.5], chain=[{"source_axis_sizes": [2, 2, 2],
+                                         "target_axis_sizes": [3],
+                                         "map": [0, 0, 1, 1, 1, 2, 2, 2]}])
+    reports = []
+    for algorithm in ("mt", "min-rel-entropy"):
+        cfg["algorithm"] = algorithm
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out.json"
+        assert run(["solve-tabular", "--verify", "--config", str(path), "--out", str(out)]) == 0
+        reports.append(json.loads(out.read_text()))
+    assert reports[0]["verified"] is True and reports[0]["tv_to_oracle"] <= 1e-12
+    for key in ("solution", "objective", "oracle"):
+        assert reports[0][key] == reports[1][key]
+
+
+@pytest.mark.parametrize(
+    "command, config_name", [("solve-tabular", "solve_tabular_binary3.json"),
+                             ("solve-gaussian", "solve_gaussian_demo.json")],
+)
+def test_lambda_applies_to_an_alpha_schedule(tmp_path, command, config_name):
+    # alpha, sigma1 and d give sigma; lambda weighs it in either form
+    sigma = list(ms.alpha_schedule(0.5, 1.0, 2).sigma)
+    reports = []
+    for lam, change in ((1.0, {"sigma": sigma}), (2.0, {"sigma": sigma}),
+                        (2.0, {"sigma": DROP, "alpha": 0.5, "sigma1": 1.0, "d": 2})):
+        cfg = json.loads((CONFIGS / config_name).read_text())
+        cfg.update(change, **{"lambda": lam})
+        cfg = {key: value for key, value in cfg.items() if value is not DROP}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out.json"
+        assert run([command, "--config", str(path), "--out", str(out)]) == cli.EXIT_OK
+        reports.append(json.loads(out.read_text()))
+    assert reports[1]["objective"] != reports[0]["objective"]
+    assert reports[2]["solution"] == reports[1]["solution"]
+    assert reports[2]["objective"] == reports[1]["objective"]
+    assert reports[2]["config"]["lambda"] == 2.0
 
 
 @pytest.mark.parametrize(

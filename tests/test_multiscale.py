@@ -143,12 +143,14 @@ def test_mt_equals_min_relative_entropy_on_decimation():
     gibbs = mt.gibbs(f, q, 1.0 / (sched.lam * sched.sigma[0]))
     via_mt = ms.solve_mt(gibbs, q, sched, backend)
     assert mt.total_variation(via_solver, via_mt) <= 1e-12
-    # marginalize-tilt refuses non-decimation chains
+    # on a chain that is not a decimation, marginalize-tilt is the same solve too
     arbitrary = ms.TabularBackend(
         [mt.ScaleMap(space, mt.ProductSpace((2,)), rng.integers(0, 2, space.size))]
     )
-    with pytest.raises(SpaceMismatch):
-        ms.solve_mt(gibbs, q, ms.TemperatureSchedule(1.0, (1.0, 1.0)), arbitrary)
+    sched = ms.TemperatureSchedule(1.0, (1.0, 1.0))
+    via_mt = ms.solve_mt(mt.gibbs(f, q, 1.0), q, sched, arbitrary)
+    via_solver = ms.solve_min_relative_entropy(f, q, sched, arbitrary)
+    assert np.array_equal(via_mt.probs, via_solver.probs)
 
 
 def test_refinement_consistency_tabular():
@@ -369,42 +371,26 @@ def test_is_decimation_derived_from_chain():
     sched = ms.TemperatureSchedule(1.0, (1.0, 0.5, 0.7))
     gibbs = mt.gibbs(f, q, 1.0)
     built = ms.TabularBackend.decimation(space, 3)
-    # the same maps given explicitly (as a JSON config gives them) are decimation too
+    # the same maps given explicitly (as a JSON config gives them) solve the same
     explicit = ms.TabularBackend(
         [mt.ScaleMap(t.source, t.target, t.map.tolist()) for t in built.chain]
     )
-    assert built.is_decimation and explicit.is_decimation
-    assert ms.TabularBackend([]).is_decimation
     expected = ms.solve_mt(gibbs, q, sched, built)
     assert np.array_equal(ms.solve_mt(gibbs, q, sched, explicit).probs, expected.probs)
-    # right target spaces but a permuted map, and a single-axis chain, are not
+    # right target spaces but a permuted map, and a single-axis chain, are not decimations:
+    # marginalize-tilt is the min-rel-entropy solve on them as well
     first = built.chain[0]
     permuted = mt.ScaleMap(first.source, first.target, first.map[::-1])
     line = mt.ProductSpace((12,))
     halving = mt.ScaleMap(line, mt.ProductSpace((6,)), np.arange(12) // 2)
     for chain in ([permuted, built.chain[1]], [halving]):
         backend = ms.TabularBackend(chain)
-        assert not backend.is_decimation
-        with pytest.raises(SpaceMismatch):
-            ms.solve_mt(gibbs, q, sched, backend)
-
-
-def test_is_decimation_is_computed_on_first_read(monkeypatch):
-    # building a backend (as every tabular objective call does) checks no map
-    drops_last_axis, calls = ms._drops_last_axis, []
-
-    def counted(t):
-        calls.append(t)
-        return drops_last_axis(t)
-
-    monkeypatch.setattr(ms, "_drops_last_axis", counted)
-    backend = ms.TabularBackend.decimation(mt.ProductSpace((2, 3, 2)), 3)
-    assert calls == []
-    assert backend.is_decimation
-    assert len(calls) == len(backend.chain) == 2
-    assert all(seen is t for seen, t in zip(calls, backend.chain))
-    assert backend.is_decimation
-    assert len(calls) == 2
+        source = chain[0].source
+        f_c, q_c = mt.EnergyTable(source, f.values), mt.TabularDist(source, q.probs)
+        sched_c = ms.TemperatureSchedule(sched.lam, sched.sigma[: backend.depth])
+        via_mt = ms.solve_mt(mt.gibbs(f_c, q_c, 1.0), q_c, sched_c, backend)
+        via_solver = ms.solve_min_relative_entropy(f_c, q_c, sched_c, backend)
+        assert np.array_equal(via_mt.probs, via_solver.probs)
 
 
 def test_scale_marginals_along_a_chain():

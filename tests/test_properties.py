@@ -2,8 +2,8 @@
 
 Tabular: decimation chains and random scale-map chains with uneven and
 empty fibers, references with zero-mass fibers, and sigma_i = 0 steps; the
-exact oracle against the solvers there, and against mirror descent with sigma_1
-on the experiment's grid and alpha up to 0.99.
+exact oracle against the solvers there (marginalize-tilt among them), and
+against mirror descent with sigma_1 on the experiment's grid and alpha up to 0.99.
 Gaussian: random block partitions and temperature schedules with sigma_1
 across the experiment's grid 10^-9.5 ... 10^-2.5.
 Teacher-student: the reduced posterior against the dense one, on random
@@ -97,9 +97,16 @@ def traced(solve, *args):
 
 
 def solves(f, q, sched, chain):
+    """Each solve, traced, with the oracle objective it optimizes; marginalize-tilt from
+    the initial Gibbs distribution is the min-relative-entropy solve on any chain."""
     backend = ms.TabularBackend(chain)
     yield "max-entropy", traced(ms.solve_max_entropy, f, sched, backend)
-    yield "min-relative-entropy", traced(ms.solve_min_relative_entropy, f, q, sched, backend)
+    min_rel = traced(ms.solve_min_relative_entropy, f, q, sched, backend)
+    yield "min-relative-entropy", min_rel
+    gibbs = mt.gibbs(f, q, 1.0 / (sched.lam * sched.sigma[0]))
+    via_mt = traced(ms.solve_mt, gibbs, q, sched, backend)
+    assert same_dist(via_mt[0], min_rel[0])
+    yield "min-relative-entropy", via_mt
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=100)
