@@ -2,8 +2,9 @@
 
 ``exact_tabular`` computes the tabular optimum exactly, as a value recursion from
 the finest scale up: one logsumexp per fiber per scale (the single-scale Gibbs
-variational principle applied once per scale), in milliseconds at any size up to
-the 10^6-state cap.  ``solve-tabular --verify`` checks against it.
+variational principle applied once per scale), composing the scale maps one at a
+time so that one joint-index map is alive at a time: about 0.1 s at 2^19 states
+with d = 19 on a 2-core box.  ``solve-tabular --verify`` checks against it.
 ``minimize_tabular`` runs exponentiated-gradient mirror descent on the
 probability simplex (at most 4096 states); both supported objectives are convex
 in the joint table, so the iterate converges to the global optimum, slowly where
@@ -29,21 +30,18 @@ from .tolerances import TOL
 MAX_ORACLE_STATES = 4096
 
 
-def _composed_maps(space, chain, depth):
-    """Per-scale joint-index -> scale-index arrays (scale 1 is the identity, ``slice(None)``)
-    and scale sizes; a schedule of ``depth`` scales needs depth - 1 maps, each starting on
-    the space the one before it ends on, the first on ``space``."""
+def _scale_sizes(space, chain, depth):
+    """Scale sizes, finest first; a schedule of ``depth`` scales needs depth - 1 maps,
+    each starting on the space the one before it ends on, the first on ``space``."""
     if len(chain) != depth - 1:
         raise SpaceMismatch(f"schedule depth {depth} needs {depth - 1} maps, got {len(chain)}")
-    comps = [slice(None)]
     sizes = [space.size]
     for t in chain:
         if t.source.axis_sizes != space.axis_sizes:
             raise SpaceMismatch(f"scale map source {t.source.axis_sizes} is not {space.axis_sizes}")
         space = t.target
-        comps.append(t.map[comps[-1]])
         sizes.append(space.size)
-    return comps, sizes
+    return sizes
 
 
 def minimize_tabular(objective, f, q, sched, chain):
@@ -67,7 +65,10 @@ def minimize_tabular(objective, f, q, sched, chain):
         raise ValueError(
             f"oracle supports at most {MAX_ORACLE_STATES} states, got {space.size}"
         )
-    comps, sizes = _composed_maps(space, chain, sched.depth)
+    sizes = _scale_sizes(space, chain, sched.depth)
+    comps = [slice(None)]  # per scale, joint index -> scale index; scale 1 is the identity
+    for t in chain:
+        comps.append(t.map[comps[-1]])
     sigma = np.asarray(sched.sigma)
     active = np.flatnonzero(sigma).tolist()
 
@@ -131,13 +132,14 @@ def exact_tabular(objective, f, q, sched, chain):
     L_i(y) = logsumexp over y's fiber of u_i [+ log q(x | y)], u_{i+1} = (S_i / S_{i+1}) L_i,
     and the last scale's fiber is its whole space.  log p* sums the conditionals
     u_i [+ log q(x | y)] - L_i[map] along the composed maps, and the optimal value is
-    w S_d L_d, negated for the minimized relative entropy.  ``q`` is ignored for the
-    entropy objective and may hold zeros otherwise; states without mass get -inf.
+    w S_d L_d, negated for the minimized relative entropy.  The maps are composed one
+    scale at a time, so one joint-index map is alive at a time.  ``q`` is ignored for
+    the entropy objective and may hold zeros otherwise; states without mass get -inf.
     """
     if objective not in ("min-relative-entropy", "max-entropy"):
         raise ValueError(f"unknown objective {objective!r}")
     space = f.space
-    comps, sizes = _composed_maps(space, chain, sched.depth)
+    sizes = _scale_sizes(space, chain, sched.depth)
     partial = np.cumsum(sched.sigma)
     if objective == "max-entropy":
         sign, a, w, q_i = 1.0, sched.lam, 1.0, None
@@ -152,6 +154,7 @@ def exact_tabular(objective, f, q, sched, chain):
     # each scale's fiber map; the last scale's single fiber is its whole space
     maps = [t.map for t in chain] + [np.zeros(sizes[-1], dtype=np.int64)]
     log_p = np.zeros(space.size)
+    comp = slice(None)  # joint index -> index at the current scale, one scale at a time
     with np.errstate(divide="ignore"):  # log 0 = -inf: an empty fiber, a state without mass
         for i, (mapping, size) in enumerate(zip(maps, sizes[1:] + [1])):
             if q_i is not None:
@@ -166,9 +169,10 @@ def exact_tabular(objective, f, q, sched, chain):
             lse = np.log(np.bincount(mapping, weights=np.exp(u - peak[mapping]), minlength=size))
             lse += peak
             cond = np.subtract(u, lse[mapping], out=np.full(u.size, -np.inf), where=u > -np.inf)
-            log_p += cond[comps[i]]
+            log_p += cond[comp]
             if i + 1 < len(sizes):
                 u = (partial[i] / partial[i + 1]) * lse
+                comp = mapping[comp]
     return sign * w * partial[-1] * float(lse[0]), log_p
 
 

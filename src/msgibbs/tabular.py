@@ -135,10 +135,12 @@ class ScaleMap:
 
     ``fiber`` is the width k when the fibers are contiguous blocks of k source
     states, ``map == arange(source.size) // k`` with ``source.size == k * target.size``
-    (a decimation's, for one), else ``None``.
+    (a decimation's, for one), else ``None``.  A decimation stores only ``fiber``: its
+    ``map`` is built on first read, read-only and cached.  The block kernels of
+    :func:`pushforward`, :class:`ConditionalTable` and :func:`refine` read ``fiber``.
     """
 
-    __slots__ = ("source", "target", "map", "fiber")
+    __slots__ = ("source", "target", "fiber", "_map")
 
     def __init__(self, source, target, mapping):
         given = np.asarray(mapping).reshape(-1)
@@ -155,24 +157,33 @@ class ScaleMap:
             raise ValueError("map entries must be valid target indices")
         self.source = source
         self.target = target
-        self.map = mapping
+        self._map = mapping
         k = source.size // target.size  # the blocks are too short unless k divides
-        self.fiber = k if np.array_equal(mapping, np.repeat(np.arange(target.size), k)) else None
+        blocks = k * target.size == source.size and (
+            mapping.reshape(-1, k) == np.arange(target.size)[:, None]).all()
+        self.fiber = k if blocks else None
 
     @classmethod
     def decimation(cls, source):
         """Project onto all but the last coordinate (drop the deepest axis)."""
-        last = source.axis_sizes[-1]
         t = cls.__new__(cls)  # the map is valid by construction
-        t.source, t.target, t.fiber = source, ProductSpace(source.axis_sizes[:-1]), last
-        t.map = np.arange(source.size) // last
-        t.map.setflags(write=False)
+        t.source, t.target = source, ProductSpace(source.axis_sizes[:-1])
+        t.fiber, t._map = source.axis_sizes[-1], None
         return t
 
+    @property
+    def map(self):
+        """Target index per source state (int64, read-only)."""
+        if self._map is None:
+            self._map = np.arange(self.source.size) // self.fiber
+            self._map.setflags(write=False)
+        return self._map
 
-def _lift(values, mapping, fiber):
-    """``values[mapping]`` as a fresh array: a block repeat on contiguous fibers."""
-    return values[mapping] if fiber is None else np.repeat(values, fiber)
+
+def _lift(values, t):
+    """``values[t.map]`` as a fresh array: a block repeat, without ``t.map``, on
+    contiguous fibers; ``t`` is a :class:`ScaleMap` or a :class:`ConditionalTable`."""
+    return values[t.map] if t.fiber is None else np.repeat(values, t.fiber)
 
 
 class ConditionalTable:
@@ -181,20 +192,20 @@ class ConditionalTable:
 
     Row j, over ``output_space`` (t's source) given state j of ``given_space``
     (t's target), is p on the fiber of j, renormalized.  Output state i lies in
-    row ``map[i]`` (``t.map`` itself) with probability ``probs[i]``; rows whose
-    fiber carries no mass are undefined (``defined[j]`` False) and hold zeros.
-    ``fiber`` is ``t.fiber``: on contiguous fibers the image is lifted to the
-    source by ``np.repeat`` instead of a gather, and when every row is defined
-    the division runs unmasked.
+    row ``map[i]`` (``t.map`` itself, built on first read on a decimation) with
+    probability ``probs[i]``; rows whose fiber carries no mass are undefined
+    (``defined[j]`` False) and hold zeros.  ``fiber`` is ``t.fiber``: on contiguous
+    fibers the image is lifted to the source by ``np.repeat`` instead of a gather,
+    without reading ``t.map``, and when every row is defined the division runs unmasked.
     """
 
-    __slots__ = ("given_space", "output_space", "map", "fiber", "probs", "defined")
+    __slots__ = ("given_space", "output_space", "_scale_map", "fiber", "probs", "defined")
 
     def __init__(self, p, t, image):
         if t.source.axis_sizes != p.space.axis_sizes:
             raise SpaceMismatch("scale map source differs from the distribution's space")
         defined = image.probs > 0.0
-        fiber_mass = _lift(image.probs, t.map, t.fiber)
+        fiber_mass = _lift(image.probs, t)
         if defined.all():
             probs = np.divide(p.probs, fiber_mass, out=fiber_mass)
         else:
@@ -204,10 +215,14 @@ class ConditionalTable:
         defined.setflags(write=False)
         self.given_space = t.target
         self.output_space = t.source
-        self.map = t.map
+        self._scale_map = t
         self.fiber = t.fiber
         self.probs = probs
         self.defined = defined
+
+    @property
+    def map(self):
+        return self._scale_map.map
 
     @property
     def rows(self):
@@ -385,7 +400,7 @@ def refine(coarsest, conditionals):
             raise UndefinedConditionalRow(
                 f"conditioning state {j} has mass {current.probs[j]!r} but no defined row"
             )
-        lifted = _lift(current.probs, cond.map, cond.fiber)
+        lifted = _lift(current.probs, cond)
         lifted *= cond.probs
         current = TabularDist._adopt(cond.output_space, lifted)
     return current

@@ -67,6 +67,18 @@ def test_solve_tabular_uneven_axes_min_rel_golden(tmp_path):
     assert json.loads(out.read_text())["verified"] is True
 
 
+def test_solve_tabular_wide_fiber_min_rel_golden(tmp_path):
+    # a decimation fiber 12 wide, past pushforward's column sums, and a reference with
+    # no mass on one fiber: the scale map builds its index array on first read
+    out = tmp_path / "out.json"
+    config = GOLDEN / "solve_tabular_min_rel_4x12.config.json"
+    cfg = json.loads(config.read_text())
+    assert cfg["axis_sizes"] == [4, 12] and not any(cfg["reference"][24:36])
+    assert run(["solve-tabular", "--verify", "--config", str(config), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "solve_tabular_min_rel_4x12.json").read_bytes()
+    assert json.loads(out.read_text())["verified"] is True
+
+
 def _assert_report_matches(got, want, path="$"):
     """Keys and strings equal; floats equal within a relative 1e-10.
 

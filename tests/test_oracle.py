@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -261,6 +262,25 @@ def test_exact_oracle_rejections():
     tiny = ms.TemperatureSchedule(1.0, (1e-320, 0.5))
     with pytest.raises(NumericalGuard):
         mo.exact_tabular("max-entropy", negative, None, tiny, chain)
+
+
+@pytest.mark.parametrize("kind", ["max-entropy", "min-relative-entropy"])
+def test_exact_oracle_holds_one_composed_map_at_a_time(kind):
+    # one joint-index map alive at a time; holding every scale's composed map at once
+    # peaks at 19.6 state arrays here
+    rng = np.random.default_rng(31)
+    space = mt.ProductSpace((2,) * 16)
+    f = mt.EnergyTable(space, rng.standard_normal(space.size))
+    q = random_dist(space, rng)
+    sched = ms.TemperatureSchedule(1.0, (1.0, *rng.uniform(0.1, 1.0, space.ndim - 1)))
+    chain = ms.TabularBackend.decimation(space, sched.depth).chain
+    tracemalloc.start()
+    try:
+        mo.exact_tabular(kind, f, q, sched, chain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 8 * space.size
 
 
 def value_rounding_scale(sched, n_states):

@@ -183,10 +183,12 @@ def test_exact_oracle_matches_the_solvers(problem):
 
 @st.composite
 def fiber_cases(draw):
-    """A scale map and a distribution on its source with zero-mass fibers and -0.0 entries.
+    """A scale map, its entries and a distribution on its source with zero-mass fibers
+    and -0.0 entries.
 
-    The map is a decimation (last axis 1-5), the same map given explicitly, one
-    with its source states permuted, or the decimation of 3 x 1000.
+    The map is a decimation (last axis 1-12), the same map given explicitly, one with
+    its source states permuted, or the decimation of 3 x 1000.  A decimation's map is
+    left unbuilt.
     """
     rng = np.random.default_rng(draw(seeds))
     form = draw(st.sampled_from(["decimation", "explicit", "permuted", "wide"]))
@@ -194,18 +196,20 @@ def fiber_cases(draw):
         source = mt.ProductSpace((3, 1000))
     else:
         axes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
-        source = mt.ProductSpace((*axes, draw(st.integers(1, 5))))
+        source = mt.ProductSpace((*axes, draw(st.integers(1, 12))))
     t = mt.ScaleMap.decimation(source)
+    mapping = np.arange(source.size) // source.axis_sizes[-1]
     if form == "explicit":
-        t = mt.ScaleMap(source, t.target, t.map.tolist())
+        t = mt.ScaleMap(source, t.target, mapping.tolist())
     elif form == "permuted":
-        t = mt.ScaleMap(source, t.target, t.map[rng.permutation(source.size)])
+        mapping = mapping[rng.permutation(source.size)]
+        t = mt.ScaleMap(source, t.target, mapping)
     w = rng.random(source.size)
-    w[np.isin(t.map, np.flatnonzero(rng.random(t.target.size) < 0.3))] = 0.0
+    w[np.isin(mapping, np.flatnonzero(rng.random(t.target.size) < 0.3))] = 0.0
     w[rng.random(source.size) < 0.2] = -0.0
     if not w.any():
         w[rng.integers(source.size)] = 1.0
-    return t, mt.TabularDist(source, w / w.sum()), rng
+    return t, mapping, mt.TabularDist(source, w / w.sum()), rng
 
 
 def same_bits(a, b):
@@ -215,14 +219,16 @@ def same_bits(a, b):
 @settings(derandomize=True, deadline=None, database=None, max_examples=150)
 @given(fiber_cases())
 def test_contiguous_fibers_match_the_general_formulas(case):
-    # the block kernels against bincount, a gather and the masked divide, bit for bit
-    t, p, rng = case
-    last = t.source.axis_sizes[-1]
-    assert t.fiber == (last if np.array_equal(t.map, np.arange(t.source.size) // last) else None)
+    # the block kernels against bincount, a gather and the masked divide, bit for bit;
+    # pushforward runs first, so a decimation wider than 8 builds its map in bincount
+    t, mapping, p, rng = case
     image = mt.pushforward(p, t)
-    assert same_bits(image.probs, np.bincount(t.map, weights=p.probs, minlength=t.target.size))
+    assert same_bits(image.probs, np.bincount(mapping, weights=p.probs, minlength=t.target.size))
+    assert np.array_equal(t.map, mapping)
+    last = t.source.axis_sizes[-1]
+    assert t.fiber == (last if np.array_equal(mapping, np.arange(t.source.size) // last) else None)
     cond = mt.reverse_conditional(p, t, image)
-    lifted = image.probs[t.map]
+    lifted = image.probs[mapping]
     want = np.divide(p.probs, lifted, out=np.zeros(t.source.size),
                      where=lifted > 0.0)
     assert same_bits(cond.probs, want)
@@ -230,7 +236,87 @@ def test_contiguous_fibers_match_the_general_formulas(case):
     coarse = mt.TabularDist.from_weights(
         t.target, np.where(cond.defined, rng.random(t.target.size), -0.0))
     refined = mt.refine(coarse, [cond])
-    assert same_bits(refined.probs, coarse.probs[t.map] * cond.probs)
+    assert same_bits(refined.probs, coarse.probs[mapping] * cond.probs)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(st.lists(st.integers(1, 12), min_size=2, max_size=3), seeds)
+def test_decimation_and_its_maps_given_explicitly_solve_alike(axes, seed):
+    # the lazily built maps against the same maps given explicitly: solutions and traces
+    # bit for bit, with a zero-mass fiber in the reference and fibers up to 12 wide
+    space = mt.ProductSpace(tuple(axes))
+    decimation = ms.TabularBackend.decimation(space, space.ndim)
+    explicit = ms.TabularBackend([
+        mt.ScaleMap(t.source, t.target, np.arange(t.source.size) // t.fiber)
+        for t in decimation.chain])
+    rng = np.random.default_rng(seed)
+    f = mt.EnergyTable(space, rng.uniform(-2.0, 2.0, space.size))
+    q = rng.uniform(0.05, 1.0, space.size)
+    q[np.arange(space.size) // axes[-1] == rng.integers(space.size // axes[-1])] = 0.0
+    if not q.any():
+        q[rng.integers(space.size)] = 1.0
+    q = mt.TabularDist.from_weights(space, q)
+    later = np.where(rng.random(space.ndim - 1) < 0.3, 0.0, rng.uniform(0.25, 2.0, space.ndim - 1))
+    sched = ms.TemperatureSchedule(rng.uniform(0.5, 2.0), (rng.uniform(0.25, 2.0), *later))
+    gibbs = mt.gibbs(f, q, 1.0 / (sched.lam * sched.sigma[0]))
+    for solve, args in ((ms.solve_max_entropy, (f, sched)),
+                        (ms.solve_min_relative_entropy, (f, q, sched)),
+                        (ms.solve_mt, (gibbs, q, sched))):
+        solution, trace = traced(solve, *args, decimation)
+        want, want_trace = traced(solve, *args, explicit)
+        assert same_bits(solution.probs, want.probs)
+        for got, expected in zip(trace.renormalized + trace.refined,
+                                 want_trace.renormalized + want_trace.refined, strict=True):
+            assert same_bits(got.probs, expected.probs)
+
+
+def exact_by_composed_maps(objective, f, q, sched, chain):
+    """The exact oracle's value recursion with every scale's composed map built up front."""
+    comps = [slice(None)]
+    for t in chain:
+        comps.append(t.map[comps[-1]])
+    sizes = [f.space.size] + [t.target.size for t in chain]
+    partial = np.cumsum(sched.sigma)
+    if objective == "max-entropy":
+        sign, a, w, q_i = 1.0, sched.lam, 1.0, None
+    else:
+        sign, a, w, q_i = -1.0, 1.0, sched.lam, q.probs
+    u = -a * f.values / (w * partial[0])
+    maps = [t.map for t in chain] + [np.zeros(sizes[-1], dtype=np.int64)]
+    log_p = np.zeros(f.space.size)
+    with np.errstate(divide="ignore"):
+        for i, (mapping, size) in enumerate(zip(maps, sizes[1:] + [1])):
+            if q_i is not None:
+                q_next = np.bincount(mapping, weights=q_i, minlength=size)
+                u = u + np.log(q_i)
+                np.subtract(u, np.log(q_next)[mapping], out=u, where=q_i > 0.0)
+                q_i = q_next
+            peak = np.full(size, -np.inf)
+            np.maximum.at(peak, mapping, u)
+            peak[peak == -np.inf] = 0.0
+            lse = np.log(np.bincount(mapping, weights=np.exp(u - peak[mapping]), minlength=size))
+            lse += peak
+            cond = np.subtract(u, lse[mapping], out=np.full(u.size, -np.inf), where=u > -np.inf)
+            log_p += cond[comps[i]]
+            if i + 1 < len(sizes):
+                u = (partial[i] / partial[i + 1]) * lse
+    return sign * w * partial[-1] * float(lse[0]), log_p
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(tabular_problems(positive_q=False), seeds, st.booleans())
+def test_exact_oracle_composes_one_map_at_a_time_bit_for_bit(problem, seed, permute):
+    # the same gathers in the same order as with every composed map held at once
+    f, q, sched, chain = problem
+    if permute and chain:
+        t = chain[0]
+        perm = np.random.default_rng(seed).permutation(t.source.size)
+        chain = [mt.ScaleMap(t.source, t.target, t.map[perm]), *chain[1:]]
+    for kind in ("max-entropy", "min-relative-entropy"):
+        value, log_p = mo.exact_tabular(kind, f, q, sched, chain)
+        want_value, want_log_p = exact_by_composed_maps(kind, f, q, sched, chain)
+        assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+        assert same_bits(log_p, want_log_p)
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -498,3 +499,44 @@ def test_only_narrow_contiguous_fibers_skip_bincount(monkeypatch):
         mt.pushforward(mt.TabularDist.uniform(space), t)
         assert len(calls) == summed_by_bincount
         calls.clear()
+
+
+def traced_bytes(fn):
+    """``fn()`` and the bytes that tracemalloc sees it leave allocated."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_decimation_map_is_built_on_first_read():
+    # the block kernels read only the fiber width: a decimation holds no index array
+    backend, held = traced_bytes(
+        lambda: ms.TabularBackend.decimation(mt.ProductSpace((2,) * 18), 10))
+    assert held < 64 * 1024  # the nine maps would take 4.0 MiB
+    rng = np.random.default_rng(29)
+    space = mt.ProductSpace((4, 8, 3, 8))
+    f = mt.EnergyTable(space, rng.uniform(-1.0, 1.0, space.size))
+    w = rng.uniform(0.05, 1.0, space.size)
+    w[:8] = 0.0  # a fiber without reference mass: the masked divide runs too
+    q = mt.TabularDist.from_weights(space, w)
+    sched = TemperatureSchedule(1.3, (0.9, 0.4, 0.6, 0.7))
+    gibbs = mt.gibbs(f, q, 1.0 / (sched.lam * sched.sigma[0]))
+    backend = ms.TabularBackend.decimation(space, sched.depth)
+    for with_trace in (False, True):
+        ms.solve_max_entropy(f, sched, backend, with_trace)
+        ms.solve_min_relative_entropy(f, q, sched, backend, with_trace)
+        ms.solve_mt(gibbs, q, sched, backend, with_trace)
+    for t in backend.chain:
+        mapping, built = traced_bytes(lambda: t.map)
+        assert built >= mapping.nbytes  # allocated only now
+        assert np.array_equal(mapping, np.arange(t.source.size) // t.fiber)
+        assert mapping.dtype == np.int64 and not mapping.flags.writeable
+        assert t.map is t.map is mapping
+    # an explicit map is stored when the ScaleMap is built: a read-only copy of the entries
+    explicit = mt.ScaleMap(space, backend.chain[0].target, backend.chain[0].map)
+    assert explicit.fiber == 8 and explicit.map is explicit.map
+    assert np.array_equal(explicit.map, backend.chain[0].map) and not explicit.map.flags.writeable
