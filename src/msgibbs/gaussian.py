@@ -195,7 +195,8 @@ class QuadraticEnergy:
     """Quadratic energy ``f(w) = c + g.w + 0.5 w'Kw`` with K symmetric PSD.
 
     Eigenvalues of K down to ``-TOL.energy_eigenvalue_floor`` are accepted as
-    rounding, and K is kept as given (symmetrized).
+    rounding, and K is kept as given (symmetrized).  A Cholesky factor of K plus the
+    floor on the diagonal accepts K; only when it fails are the eigenvalues computed.
     """
 
     K: np.ndarray
@@ -210,9 +211,16 @@ class QuadraticEnergy:
             raise DimensionMismatch("K and g dimensions are inconsistent")
         if not (np.all(np.isfinite(g)) and math.isfinite(c)):
             raise NumericalGuard("g and c must be finite")
-        eigmin = float(np.linalg.eigvalsh(K).min())
-        if eigmin < -TOL.energy_eigenvalue_floor:
-            raise ValueError(f"K has eigenvalue {eigmin!r} below -{TOL.energy_eigenvalue_floor}")
+        shifted = K.copy()
+        shifted.flat[:: g.size + 1] += TOL.energy_eigenvalue_floor
+        try:  # factors when every eigenvalue of K is above -floor, up to rounding
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            eigmin = float(np.linalg.eigvalsh(K).min())
+            if eigmin < -TOL.energy_eigenvalue_floor:
+                raise ValueError(
+                    f"K has eigenvalue {eigmin!r} below -{TOL.energy_eigenvalue_floor}"
+                ) from None
         K.setflags(write=False)
         g.setflags(write=False)
         object.__setattr__(self, "K", K)

@@ -2,9 +2,11 @@
 
 ``exact_tabular`` computes the tabular optimum exactly, as a value recursion from
 the finest scale up: one logsumexp per fiber per scale (the single-scale Gibbs
-variational principle applied once per scale), composing the scale maps one at a
-time so that one joint-index map is alive at a time: about 0.1 s at 2^19 states
-with d = 19 on a 2-core box.  ``solve-tabular --verify`` checks against it.
+variational principle applied once per scale), reading each scale's map inside the
+loop and composing the maps one at a time, so that one joint-index map is alive at a
+time and nothing is left on the caller's maps: about 0.1 s and a 26.5 MiB tracemalloc
+peak at 2^19 states with d = 19 on a 2-core box.  ``solve-tabular --verify`` checks
+against it.
 ``minimize_tabular`` runs exponentiated-gradient mirror descent on the
 probability simplex (at most 4096 states); both supported objectives are convex
 in the joint table, so the iterate converges to the global optimum, slowly where
@@ -151,12 +153,12 @@ def exact_tabular(objective, f, q, sched, chain):
         u = -a * f.values / (w * partial[0])
     if not (u < np.inf).all():
         raise NumericalGuard(f"-f / sigma_1 is not finite at sigma_1 = {partial[0]:g}")
-    # each scale's fiber map; the last scale's single fiber is its whole space
-    maps = [t.map for t in chain] + [np.zeros(sizes[-1], dtype=np.int64)]
     log_p = np.zeros(space.size)
     comp = slice(None)  # joint index -> index at the current scale, one scale at a time
     with np.errstate(divide="ignore"):  # log 0 = -inf: an empty fiber, a state without mass
-        for i, (mapping, size) in enumerate(zip(maps, sizes[1:] + [1])):
+        for i, size in enumerate(sizes[1:] + [1]):
+            # this scale's fiber map, read here; the last scale's single fiber is its whole space
+            mapping = chain[i].map if i < len(chain) else np.zeros(sizes[-1], dtype=np.int64)
             if q_i is not None:
                 q_next = np.bincount(mapping, weights=q_i, minlength=size)
                 u = u + np.log(q_i)

@@ -135,9 +135,9 @@ class ScaleMap:
 
     ``fiber`` is the width k when the fibers are contiguous blocks of k source
     states, ``map == arange(source.size) // k`` with ``source.size == k * target.size``
-    (a decimation's, for one), else ``None``.  A decimation stores only ``fiber``: its
-    ``map`` is built on first read, read-only and cached.  The block kernels of
-    :func:`pushforward`, :class:`ConditionalTable` and :func:`refine` read ``fiber``.
+    (a decimation's, for one), else ``None``.  A decimation stores only ``fiber``;
+    no ``ScaleMap`` changes after it is built.  The block kernels of :func:`pushforward`,
+    :class:`ConditionalTable` and :func:`refine` read ``fiber``, never ``map``.
     """
 
     __slots__ = ("source", "target", "fiber", "_map")
@@ -173,16 +173,14 @@ class ScaleMap:
 
     @property
     def map(self):
-        """Target index per source state (int64, read-only)."""
-        if self._map is None:
-            self._map = np.arange(self.source.size) // self.fiber
-            self._map.setflags(write=False)
-        return self._map
+        """Target index per source state (int64): an explicit map's stored read-only
+        copy, a decimation's ``arange(source.size) // fiber`` computed afresh on each read."""
+        return np.arange(self.source.size) // self.fiber if self._map is None else self._map
 
 
 def _lift(values, t):
-    """``values[t.map]`` as a fresh array: a block repeat, without ``t.map``, on
-    contiguous fibers; ``t`` is a :class:`ScaleMap` or a :class:`ConditionalTable`."""
+    """``values[t.map]`` for the :class:`ScaleMap` ``t``, as a fresh array: a block
+    repeat, without ``t.map``, on contiguous fibers."""
     return values[t.map] if t.fiber is None else np.repeat(values, t.fiber)
 
 
@@ -192,14 +190,13 @@ class ConditionalTable:
 
     Row j, over ``output_space`` (t's source) given state j of ``given_space``
     (t's target), is p on the fiber of j, renormalized.  Output state i lies in
-    row ``map[i]`` (``t.map`` itself, built on first read on a decimation) with
-    probability ``probs[i]``; rows whose fiber carries no mass are undefined
-    (``defined[j]`` False) and hold zeros.  ``fiber`` is ``t.fiber``: on contiguous
-    fibers the image is lifted to the source by ``np.repeat`` instead of a gather,
-    without reading ``t.map``, and when every row is defined the division runs unmasked.
+    row ``scale_map.map[i]`` with probability ``probs[i]``; rows whose fiber carries
+    no mass are undefined (``defined[j]`` False) and hold zeros.  The image is lifted
+    to the source by :func:`_lift`, and when every row is defined the division runs
+    unmasked.
     """
 
-    __slots__ = ("given_space", "output_space", "_scale_map", "fiber", "probs", "defined")
+    __slots__ = ("scale_map", "probs", "defined")
 
     def __init__(self, p, t, image):
         if t.source.axis_sizes != p.space.axis_sizes:
@@ -213,26 +210,17 @@ class ConditionalTable:
                               where=fiber_mass > 0.0)
         probs.setflags(write=False)
         defined.setflags(write=False)
-        self.given_space = t.target
-        self.output_space = t.source
-        self._scale_map = t
-        self.fiber = t.fiber
+        self.scale_map = t
         self.probs = probs
         self.defined = defined
 
     @property
-    def map(self):
-        return self._scale_map.map
+    def given_space(self):
+        return self.scale_map.target
 
     @property
-    def rows(self):
-        """Per given state, ``(output indices, probabilities)`` or ``None``; built per access."""
-        order = np.argsort(self.map, kind="stable")
-        cuts = np.searchsorted(self.map[order], np.arange(1, self.given_space.size))
-        return tuple(
-            (fiber, self.probs[fiber]) if ok else None
-            for fiber, ok in zip(np.split(order, cuts), self.defined)
-        )
+    def output_space(self):
+        return self.scale_map.source
 
 
 def _require_same_space(p, q):
@@ -357,22 +345,21 @@ def gibbs(f, q, beta):
     return _from_log_weights(q.space, logw, empty)
 
 
-#: widest contiguous fiber that pushforward sums column by column; past it bincount is faster
-_MAX_COLUMN_FIBER = 8
-
-
 def pushforward(p, t):
     """Image distribution of ``p`` under the scale map ``t`` (mass-preserving)."""
     if t.source.axis_sizes != p.space.axis_sizes:
         raise SpaceMismatch("scale map source differs from the distribution's space")
     k = t.fiber
-    if k is None or k > _MAX_COLUMN_FIBER:
+    if k is None:
         out = np.bincount(t.map, weights=p.probs, minlength=t.target.size)
-    else:
+    elif k <= t.target.size:
         # bincount's order: each fiber's terms added left to right onto 0.0
         out = np.zeros(t.target.size)
         for column in p.probs.reshape(-1, k).T:
             out += column
+    else:  # fewer fibers than columns: each fiber's running sum, left to right as above;
+        # + 0.0 is bincount's start and copies the totals out of the full-size sums
+        out = np.add.accumulate(p.probs.reshape(-1, k), axis=1)[:, -1] + 0.0
     return TabularDist._adopt(t.target, out)
 
 
@@ -400,7 +387,7 @@ def refine(coarsest, conditionals):
             raise UndefinedConditionalRow(
                 f"conditioning state {j} has mass {current.probs[j]!r} but no defined row"
             )
-        lifted = _lift(current.probs, cond)
+        lifted = _lift(current.probs, cond.scale_map)
         lifted *= cond.probs
         current = TabularDist._adopt(cond.output_space, lifted)
     return current

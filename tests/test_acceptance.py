@@ -139,8 +139,8 @@ def test_criterion_2_identity_suite():
             cp, cq = mt.reverse_conditional(p, t), mt.reverse_conditional(q, t)
             for j in range(t_size):
                 if tp.probs[j] > 0:
-                    _, pr = cp.rows[j]
-                    _, qr = cq.rows[j]
+                    fiber = t.map == j
+                    pr, qr = cp.probs[fiber], cq.probs[fiber]
                     mask = pr > 0
                     rhs += tp.probs[j] * float(
                         (pr[mask] * np.log(pr[mask] / qr[mask])).sum()

@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from msgibbs import gaussian as mg
+from msgibbs import nn as mn
 from msgibbs import oracle as mo
 from msgibbs import tabular as mt
 from msgibbs.errors import (
@@ -376,6 +378,27 @@ def test_gibbs_gaussian():
         mg.gibbs_gaussian(bad, prior, 1.0)
 
 
+def test_quadratic_energy_psd_check_factors_before_eigenvalues(monkeypatch):
+    delta = TOL.energy_eigenvalue_floor
+    message = f"K has eigenvalue {-2.0 * delta!r} below -{delta}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        mg.QuadraticEnergy(np.diag([1.0, -2.0 * delta]), [0.0, 0.0])
+    # at the floor K + floor * I is singular, and the eigenvalues accept it
+    for least in (-0.5 * delta, -delta):
+        assert mg.QuadraticEnergy(np.diag([1.0, least]), [0.0, 0.0]).K[1, 1] == least
+    # a Gauss-Newton K has rank n m = 300 < d m^2 = 400: the factor alone accepts it
+    rng = np.random.default_rng(46)
+    params = mn.ResNetParams([0.3 * rng.standard_normal((10, 10)) for _ in range(4)])
+    xs, ys = rng.standard_normal((2, 30, 10))
+    energy = mn.gauss_newton_energy(params, mn.Dataset(xs, ys))
+
+    def no_eigenvalues(*args, **kwargs):
+        raise AssertionError("eigvalsh called on a K that factors")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigenvalues)
+    assert mg.QuadraticEnergy(energy.K, energy.g, energy.c).dim == 400
+
+
 def test_gibbs_gaussian_factors_its_precision_once(linalg_calls):
     rng = np.random.default_rng(13)
     prior = random_gaussian(4, rng)
@@ -425,3 +448,31 @@ def test_json_round_trip():
     g2 = mg.GaussianDist.from_json(obj)
     assert np.allclose(g2.mean, g.mean)
     assert np.allclose(g2.cov, g.cov)
+
+
+def test_guards_reject_invalid_inputs():
+    rng = np.random.default_rng(47)
+    g2, g3 = random_gaussian(2, rng), random_gaussian(3, rng)
+    energy3 = mg.QuadraticEnergy(np.eye(3), np.zeros(3))
+    split = mg.BlockPartition((2, 1))
+    cases = [
+        (lambda: mg.GaussianDist([0.0, 0.0], np.ones((2, 3))), DimensionMismatch, "must be square"),
+        (lambda: mg.BlockPartition((2, 0)), ValueError, "must be positive"),
+        (lambda: split.leading_dim(0), DimensionMismatch, r"need 1\.\.2 blocks"),
+        (lambda: split.leading_dim(3), DimensionMismatch, r"need 1\.\.2 blocks"),
+        (lambda: mg.condition(g3, split, 0), EmptyKeepSet, "both sides"),
+        (lambda: mg.condition(g3, split, 2), EmptyKeepSet, "both sides"),
+        (lambda: mg.GaussianConditional(np.zeros((2, 1)), [0.0], np.eye(1)), DimensionMismatch,
+         "dims are inconsistent"),
+        (lambda: mg.tilt_gaussian(g2, g3, 0.5), DimensionMismatch, "dims differ"),
+        (lambda: mg.kl_gaussian(g2, g3), DimensionMismatch, "dims differ"),
+        (lambda: mg.gibbs_gaussian(energy3, g2, 1.0), DimensionMismatch, "differs from prior"),
+        (lambda: mg.expected_quadratic(g2, energy3), DimensionMismatch, "dims differ"),
+        (lambda: mg.tilt_gaussian(g2, g2, 1.5), ValueError, r"in \[0,1\]"),
+        (lambda: mg.tilt_gaussian(g2, g2, -0.5), ValueError, r"in \[0,1\]"),
+        (lambda: mg.gibbs_gaussian(energy3, g3, 0.0), ValueError, "must be > 0"),
+        (lambda: mg.gibbs_gaussian(energy3, g3, -1.0), ValueError, "must be > 0"),
+    ]
+    for build, error, message in cases:
+        with pytest.raises(error, match=message):
+            build()

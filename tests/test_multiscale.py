@@ -26,6 +26,8 @@ def test_schedule_validation():
         ms.TemperatureSchedule(1.0, (0.0, 1.0))
     with pytest.raises(ValueError):
         ms.TemperatureSchedule(1.0, (1.0, -0.5))
+    with pytest.raises(ValueError, match="at least one scale"):
+        ms.TemperatureSchedule(1.0, ())
     for lam in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match="lambda must be finite"):
             ms.TemperatureSchedule(lam, (1.0,))
@@ -171,9 +173,8 @@ def test_refinement_consistency_tabular():
         cond_ren = mt.reverse_conditional(trace.renormalized[i], t)
         current = mt.pushforward(current, t)
         assert mt.total_variation(current, trace.refined[i + 1]) < 1e-12
-        for j in range(t.target.size):
-            if cond_out.rows[j] is not None and cond_ren.rows[j] is not None:
-                assert np.abs(cond_out.rows[j][1] - cond_ren.rows[j][1]).max() < 1e-12
+        both = (cond_out.defined & cond_ren.defined)[t.map]  # rows defined in both
+        assert np.abs(cond_out.probs[both] - cond_ren.probs[both]).max(initial=0.0) < 1e-12
     assert mt.total_variation(current, trace.renormalized[-1]) < 1e-12
 
 

@@ -546,3 +546,36 @@ def test_flatten_round_trip():
     assert flat[0] == params.layers[0][0, 0]
     assert flat[3] == params.layers[0][1, 0]
     assert flat[9] == params.layers[1][0, 0]
+
+
+def test_guards_reject_invalid_inputs():
+    def config(**changes):
+        return mn.TeacherStudentConfig(**{**dataclasses.asdict(SWEEP_CFG), **changes})
+
+    cases = [
+        (lambda: mn.ResNetParams([]), ValueError, "at least one layer"),
+        (lambda: mn.ResNetParams([np.eye(2), np.eye(3)]), DimensionMismatch, "equal width"),
+        (lambda: mn.ResNetParams([np.ones((2, 3))]), DimensionMismatch, "equal width"),
+        (lambda: mn.ResNetParams([np.full((2, 2), np.nan)]), ValueError, "must be finite"),
+        (lambda: mn.Dataset(np.zeros((3, 2)), np.zeros((3, 3))), DimensionMismatch, "matching"),
+        (lambda: mn.Dataset(np.zeros(3), np.zeros(3)), DimensionMismatch, "matching"),
+        (lambda: config(m=0), ValueError, "must be positive"),
+        (lambda: config(d=0), ValueError, "must be positive"),
+        (lambda: config(n_train=0), ValueError, "must be positive"),
+        (lambda: config(teacher_depth=3), ValueError, r"teacher depth must be in \[1, d\)"),
+        (lambda: config(teacher_weight_variance=0.0), ValueError, "variances must be positive"),
+        (lambda: config(prior_variance=-1.0), ValueError, "variances must be positive"),
+    ]
+    for build, error, message in cases:
+        with pytest.raises(error, match=message):
+            build()
+
+
+def test_teacher_student_sweep_runs_without_openblas(monkeypatch):
+    # a numpy without its bundled OpenBLAS: nothing to pin, the rows are the same
+    monkeypatch.setattr(mn, "_openblas", lambda: None)
+    assert mn._set_blas_threads(1) is None
+    rows = sweep()
+    assert np.isfinite(np.array(rows)).all()
+    assert sweep(workers=2) == rows
+    assert multiprocessing.active_children() == []

@@ -317,3 +317,13 @@ def test_exact_value_is_the_objective_of_the_solution(n_axes, alpha):
     value, _ = mo.exact_tabular("min-relative-entropy", f, q, sched, backend.chain)
     objective = ms.min_relative_entropy_objective(solution, f, q, sched, backend.chain)
     assert abs(value - objective) <= bound
+
+
+def test_simplex_oracle_rejects_a_reference_on_another_space():
+    space = mt.ProductSpace((2, 2))
+    f = mt.EnergyTable(space, np.zeros(space.size))
+    q = mt.TabularDist.uniform(mt.ProductSpace((4,)))
+    sched = ms.TemperatureSchedule(1.0, (1.0, 1.0))
+    chain = ms.TabularBackend.decimation(space, sched.depth).chain
+    with pytest.raises(SpaceMismatch, match="different spaces"):
+        mo.minimize_tabular("min-relative-entropy", f, q, sched, chain)

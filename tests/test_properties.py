@@ -187,8 +187,8 @@ def fiber_cases(draw):
     and -0.0 entries.
 
     The map is a decimation (last axis 1-12), the same map given explicitly, one with
-    its source states permuted, or the decimation of 3 x 1000.  A decimation's map is
-    left unbuilt.
+    its source states permuted, or the decimation of 3 x 1000.  A decimation stores no
+    map.
     """
     rng = np.random.default_rng(draw(seeds))
     form = draw(st.sampled_from(["decimation", "explicit", "permuted", "wide"]))
@@ -220,7 +220,7 @@ def same_bits(a, b):
 @given(fiber_cases())
 def test_contiguous_fibers_match_the_general_formulas(case):
     # the block kernels against bincount, a gather and the masked divide, bit for bit;
-    # pushforward runs first, so a decimation wider than 8 builds its map in bincount
+    # pushforward runs first, on a decimation that stores no map
     t, mapping, p, rng = case
     image = mt.pushforward(p, t)
     assert same_bits(image.probs, np.bincount(mapping, weights=p.probs, minlength=t.target.size))
@@ -242,7 +242,7 @@ def test_contiguous_fibers_match_the_general_formulas(case):
 @settings(derandomize=True, deadline=None, database=None, max_examples=40)
 @given(st.lists(st.integers(1, 12), min_size=2, max_size=3), seeds)
 def test_decimation_and_its_maps_given_explicitly_solve_alike(axes, seed):
-    # the lazily built maps against the same maps given explicitly: solutions and traces
+    # a decimation's computed maps against the same maps given explicitly: solutions and traces
     # bit for bit, with a zero-mass fiber in the reference and fibers up to 12 wide
     space = mt.ProductSpace(tuple(axes))
     decimation = ms.TabularBackend.decimation(space, space.ndim)

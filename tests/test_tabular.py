@@ -235,23 +235,18 @@ def test_reverse_conditional_and_refine():
     coll = mt.ScaleMap(s4, s2, [0, 0, 1, 1])
     p = mt.TabularDist(s4, [0.1, 0.3, 0.6, 0.0])
     cond = mt.reverse_conditional(p, coll)
-    idx0, pr0 = cond.rows[0]
-    assert np.allclose(pr0, [0.25, 0.75])
-    idx1, pr1 = cond.rows[1]
-    assert np.allclose(pr1, [1.0, 0.0])
+    assert cond.defined.tolist() == [True, True]
+    assert np.allclose(cond.probs[coll.map == 0], [0.25, 0.75])
+    assert np.allclose(cond.probs[coll.map == 1], [1.0, 0.0])
 
-    # identity map: every defined row is a point mass
+    # identity map: every defined row is a point mass, an undefined one holds a zero
     ident = mt.reverse_conditional(p, mt.ScaleMap(s4, s4, np.arange(s4.size)))
-    for j, row in enumerate(ident.rows):
-        if p.probs[j] > 0:
-            assert row is not None and np.allclose(row[1], [1.0])
-        else:
-            assert row is None
+    assert ident.defined.tolist() == (p.probs > 0).tolist()
+    assert np.allclose(ident.probs, ident.defined)
 
     # uniform rows over fibers for uniform p
-    u = mt.TabularDist.uniform(s4)
-    for _, (idx, pr) in enumerate(mt.reverse_conditional(u, coll).rows):
-        assert np.allclose(pr, [0.5, 0.5])
+    cond_u = mt.reverse_conditional(mt.TabularDist.uniform(s4), coll)
+    assert cond_u.defined.all() and np.allclose(cond_u.probs, 0.5)
 
     # Bayes round trip
     back = mt.refine(mt.pushforward(p, coll), [mt.reverse_conditional(p, coll)])
@@ -273,7 +268,7 @@ def test_refine_empty_and_zero_mass_fibers():
     p = mt.TabularDist(s5, [0.2, 0.3, 0.0, 0.1, 0.4])
     cond = mt.reverse_conditional(p, t)
     assert cond.defined.tolist() == [True, False, False, True]
-    assert cond.rows[1] is None and cond.rows[2] is None
+    assert not cond.probs[np.isin(t.map, [1, 2])].any()  # undefined rows hold zeros
 
     # zero coarse mass on the undefined rows: refinement succeeds
     coarse = mt.TabularDist(s4, [0.25, 0.0, 0.0, 0.75])
@@ -296,21 +291,20 @@ def test_conditional_rows_match_fibers():
     probs[t.map == 3] = 0.0  # a zero-mass fiber
     p = mt.TabularDist.from_weights(source, probs)
     cond = mt.reverse_conditional(p, t)
-    assert len(cond.rows) == target.size
-    for j, row in enumerate(cond.rows):
+    assert cond.defined.shape == (target.size,)
+    for j in range(target.size):
         fiber = np.flatnonzero(t.map == j)
         mass = p.probs[fiber].sum()
         if fiber.size == 0 or mass == 0.0:
-            assert row is None
+            assert not cond.defined[j] and not cond.probs[fiber].any()
             continue
-        idx, pr = row
-        assert np.array_equal(idx, fiber)
-        assert np.allclose(pr, p.probs[fiber] / mass, rtol=1e-15, atol=0.0)
+        assert cond.defined[j]
+        assert np.allclose(cond.probs[fiber], p.probs[fiber] / mass, rtol=1e-15, atol=0.0)
     with pytest.raises(AttributeError):
-        cond.rows = ()
+        cond.given_space = source
 
-    # the one construction path: t's map is shared, the derived arrays are frozen
-    assert cond.map is t.map
+    # the one construction path: the table holds t itself, the derived arrays are frozen
+    assert cond.scale_map is t
     given = mt.reverse_conditional(p, t, mt.pushforward(p, t))  # an image held already
     assert np.array_equal(given.probs, cond.probs) and np.array_equal(given.defined, cond.defined)
     assert cond.given_space is target and cond.output_space is source
@@ -321,7 +315,6 @@ def test_conditional_rows_match_fibers():
     assert np.all(cond.probs >= 0.0)
     assert not cond.probs[~cond.defined[t.map]].any()
     sums = np.bincount(t.map, weights=cond.probs, minlength=target.size)
-    assert cond.defined.tolist() == [row is not None for row in cond.rows]
     assert np.all(np.abs(sums[cond.defined] - 1.0) <= TOL.normalization)
     with pytest.raises(SpaceMismatch):
         mt.reverse_conditional(mt.TabularDist.uniform(target), t)
@@ -416,8 +409,8 @@ def test_chain_rule_identity():
         cq = mt.reverse_conditional(q, t)
         for j in range(t_size):
             if tp.probs[j] > 0:
-                idx, pr = cp.rows[j]
-                _, qr = cq.rows[j]
+                fiber = t.map == j
+                pr, qr = cp.probs[fiber], cq.probs[fiber]
                 mask = pr > 0
                 rhs += tp.probs[j] * float(
                     (pr[mask] * np.log(pr[mask] / qr[mask])).sum()
@@ -488,17 +481,29 @@ def test_renyi_entropy_at_extreme_orders():
             mt.renyi_entropy(p, bad)
 
 
-def test_only_narrow_contiguous_fibers_skip_bincount(monkeypatch):
+def test_block_maps_never_call_bincount(monkeypatch):
     calls = []
     real = np.bincount
     monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(a) or real(*a, **k))
-    for last, summed_by_bincount in ((8, 0), (9, 1), (1000, 1)):
-        space = mt.ProductSpace((3, last))
-        t = mt.ScaleMap.decimation(space)
-        assert t.fiber == last
-        mt.pushforward(mt.TabularDist.uniform(space), t)
-        assert len(calls) == summed_by_bincount
-        calls.clear()
+    rng = np.random.default_rng(17)
+    for lead in (3, 16):  # fibers narrower and wider than the target
+        for last in (1, 8, 9, 12, 1000):
+            space = mt.ProductSpace((lead, last))
+            t = mt.ScaleMap.decimation(space)
+            assert t.fiber == last
+            w = rng.uniform(0.05, 1.0, space.size)
+            w[:last] = -0.0  # bincount sums this fiber to +0.0
+            p = mt.TabularDist.from_weights(space, w)
+            image = mt.pushforward(p, t)
+            assert not calls
+            want = real(np.arange(space.size) // last, weights=p.probs, minlength=lead)
+            assert image.probs.tobytes() == want.tobytes()
+            assert image.probs.base is None  # no view into a source-sized array
+    # an explicit map that is not a block map sums by bincount
+    explicit = mt.ScaleMap(space, t.target, t.map[::-1])
+    assert explicit.fiber is None
+    mt.pushforward(p, explicit)
+    assert len(calls) == 1
 
 
 def traced_bytes(fn):
@@ -512,11 +517,21 @@ def traced_bytes(fn):
         tracemalloc.stop()
 
 
-def test_decimation_map_is_built_on_first_read():
+def test_decimation_map_is_computed_on_each_read():
     # the block kernels read only the fiber width: a decimation holds no index array
-    backend, held = traced_bytes(
-        lambda: ms.TabularBackend.decimation(mt.ProductSpace((2,) * 18), 10))
+    wide = mt.ProductSpace((2,) * 18)
+    backend, held = traced_bytes(lambda: ms.TabularBackend.decimation(wide, 10))
     assert held < 64 * 1024  # the nine maps would take 4.0 MiB
+
+    def read_every_map_twice():
+        for t in backend.chain:
+            for _ in range(2):
+                mapping = t.map
+                assert mapping.dtype == np.int64
+                assert np.array_equal(mapping, np.arange(t.source.size) // t.fiber)
+
+    _, held = traced_bytes(read_every_map_twice)
+    assert held < 64 * 1024  # nothing is stored on the chain by a read
     rng = np.random.default_rng(29)
     space = mt.ProductSpace((4, 8, 3, 8))
     f = mt.EnergyTable(space, rng.uniform(-1.0, 1.0, space.size))
@@ -531,12 +546,48 @@ def test_decimation_map_is_built_on_first_read():
         ms.solve_min_relative_entropy(f, q, sched, backend, with_trace)
         ms.solve_mt(gibbs, q, sched, backend, with_trace)
     for t in backend.chain:
-        mapping, built = traced_bytes(lambda: t.map)
-        assert built >= mapping.nbytes  # allocated only now
-        assert np.array_equal(mapping, np.arange(t.source.size) // t.fiber)
-        assert mapping.dtype == np.int64 and not mapping.flags.writeable
-        assert t.map is t.map is mapping
+        assert t.map is not t.map  # computed afresh on each read
+        assert np.array_equal(t.map, np.arange(t.source.size) // t.fiber)
     # an explicit map is stored when the ScaleMap is built: a read-only copy of the entries
     explicit = mt.ScaleMap(space, backend.chain[0].target, backend.chain[0].map)
     assert explicit.fiber == 8 and explicit.map is explicit.map
     assert np.array_equal(explicit.map, backend.chain[0].map) and not explicit.map.flags.writeable
+
+
+def test_oracles_store_nothing_on_the_chain():
+    rng = np.random.default_rng(31)
+    for axes, oracle in (((2,) * 16, mo.exact_tabular), ((4,) * 6, mo.minimize_tabular)):
+        space = mt.ProductSpace(axes)
+        f = mt.EnergyTable(space, rng.uniform(-1.0, 1.0, space.size))
+        q = random_dist(space, rng)
+        sched = TemperatureSchedule(0.8, (1.0,) * space.ndim)
+        chain = ms.TabularBackend.decimation(space, sched.depth).chain
+        for objective in ("min-relative-entropy", "max-entropy"):  # each result is dropped
+            _, held = traced_bytes(lambda: oracle(objective, f, q, sched, chain) and None)
+            assert held < 64 * 1024  # caching the maps of 2^16 states would hold 1.0 MiB
+
+
+def test_guards_reject_invalid_inputs():
+    s4, s2 = mt.ProductSpace((4,)), mt.ProductSpace((2,))
+    p = mt.TabularDist.uniform(s4)
+    t = mt.ScaleMap(s4, s2, [0, 0, 1, 1])
+    flat = mt.EnergyTable(s4, np.zeros(s4.size))
+    cases = [
+        (lambda: mt.ProductSpace(()), ValueError, "at least one axis"),
+        (lambda: mt.TabularDist.from_weights(s4, np.zeros(s4.size)), ValueError,
+         "positive total mass"),
+        (lambda: mt.reverse_conditional(mt.TabularDist.uniform(s2), t, mt.pushforward(p, t)),
+         SpaceMismatch, "source differs"),
+        (lambda: mt.refine(p, [mt.reverse_conditional(p, t)]), SpaceMismatch,
+         "does not match the current space"),
+        (lambda: mt.tilt(p, p, 1.5), ValueError, r"in \[0,1\]"),
+        (lambda: mt.tilt(p, p, -0.5), ValueError, r"in \[0,1\]"),
+        (lambda: mt.gibbs(flat, p, 0.0), ValueError, "must be > 0"),
+        (lambda: mt.gibbs(flat, p, -1.0), ValueError, "must be > 0"),
+    ]
+    for build, error, message in cases:
+        with pytest.raises(error, match=message):
+            build()
+    # disjoint supports: the Renyi divergence is infinite
+    left, right = mt.TabularDist(s2, [1.0, 0.0]), mt.TabularDist(s2, [0.0, 1.0])
+    assert mt.renyi_divergence(left, right, 0.5) == math.inf
