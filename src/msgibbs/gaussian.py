@@ -196,7 +196,8 @@ class QuadraticEnergy:
 
     Eigenvalues of K down to ``-TOL.energy_eigenvalue_floor`` are accepted as
     rounding, and K is kept as given (symmetrized).  A Cholesky factor of K plus the
-    floor on the diagonal accepts K; only when it fails are the eigenvalues computed.
+    floor on the diagonal (shifted in place and restored) accepts K; only when it
+    fails are the eigenvalues computed.
     """
 
     K: np.ndarray
@@ -211,16 +212,18 @@ class QuadraticEnergy:
             raise DimensionMismatch("K and g dimensions are inconsistent")
         if not (np.all(np.isfinite(g)) and math.isfinite(c)):
             raise NumericalGuard("g and c must be finite")
-        shifted = K.copy()
-        shifted.flat[:: g.size + 1] += TOL.energy_eigenvalue_floor
+        diagonal = K.diagonal().copy()  # K is our own array: shift it in place, no n x n copy
+        K.flat[:: g.size + 1] += TOL.energy_eigenvalue_floor
         try:  # factors when every eigenvalue of K is above -floor, up to rounding
-            np.linalg.cholesky(shifted)
+            np.linalg.cholesky(K)
         except np.linalg.LinAlgError:
+            K.flat[:: g.size + 1] = diagonal
             eigmin = float(np.linalg.eigvalsh(K).min())
             if eigmin < -TOL.energy_eigenvalue_floor:
                 raise ValueError(
                     f"K has eigenvalue {eigmin!r} below -{TOL.energy_eigenvalue_floor}"
                 ) from None
+        K.flat[:: g.size + 1] = diagonal  # K's own diagonal again, bit for bit
         K.setflags(write=False)
         g.setflags(write=False)
         object.__setattr__(self, "K", K)

@@ -136,8 +136,9 @@ class ScaleMap:
     ``fiber`` is the width k when the fibers are contiguous blocks of k source
     states, ``map == arange(source.size) // k`` with ``source.size == k * target.size``
     (a decimation's, for one), else ``None``.  A decimation stores only ``fiber``;
-    no ``ScaleMap`` changes after it is built.  The block kernels of :func:`pushforward`,
-    :class:`ConditionalTable` and :func:`refine` read ``fiber``, never ``map``.
+    no ``ScaleMap`` changes after it is built.  The block kernels of :class:`ConditionalTable`
+    and :func:`refine` read ``fiber``, never ``map``; so does :func:`pushforward` unless
+    the fibers are wider than the target has states.
     """
 
     __slots__ = ("source", "target", "fiber", "_map")
@@ -350,16 +351,12 @@ def pushforward(p, t):
     if t.source.axis_sizes != p.space.axis_sizes:
         raise SpaceMismatch("scale map source differs from the distribution's space")
     k = t.fiber
-    if k is None:
+    if k is None or k > t.target.size:  # more columns than rows: bincount beats a k-step loop
         out = np.bincount(t.map, weights=p.probs, minlength=t.target.size)
-    elif k <= t.target.size:
-        # bincount's order: each fiber's terms added left to right onto 0.0
+    else:  # bincount's order: each fiber's terms added left to right onto 0.0
         out = np.zeros(t.target.size)
         for column in p.probs.reshape(-1, k).T:
             out += column
-    else:  # fewer fibers than columns: each fiber's running sum, left to right as above;
-        # + 0.0 is bincount's start and copies the totals out of the full-size sums
-        out = np.add.accumulate(p.probs.reshape(-1, k), axis=1)[:, -1] + 0.0
     return TabularDist._adopt(t.target, out)
 
 

@@ -68,8 +68,8 @@ def test_solve_tabular_uneven_axes_min_rel_golden(tmp_path):
 
 
 def test_solve_tabular_wide_fiber_min_rel_golden(tmp_path):
-    # a decimation fiber 12 wide, wider than its 4-state target (pushforward's running
-    # sums per fiber), and a reference with no mass on one fiber
+    # a decimation fiber 12 wide, wider than its 4-state target (pushforward sums it by
+    # bincount), and a reference with no mass on one fiber
     out = tmp_path / "out.json"
     config = GOLDEN / "solve_tabular_min_rel_4x12.config.json"
     cfg = json.loads(config.read_text())

@@ -396,7 +396,9 @@ def test_quadratic_energy_psd_check_factors_before_eigenvalues(monkeypatch):
         raise AssertionError("eigvalsh called on a K that factors")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", no_eigenvalues)
-    assert mg.QuadraticEnergy(energy.K, energy.g, energy.c).dim == 400
+    accepted = mg.QuadraticEnergy(energy.K, energy.g, energy.c)
+    assert accepted.dim == 400
+    assert accepted.K.tobytes() == energy.K.tobytes()  # the shifted diagonal is restored
 
 
 def test_gibbs_gaussian_factors_its_precision_once(linalg_calls):

@@ -481,12 +481,12 @@ def test_renyi_entropy_at_extreme_orders():
             mt.renyi_entropy(p, bad)
 
 
-def test_block_maps_never_call_bincount(monkeypatch):
+def test_only_block_maps_wider_than_their_target_call_bincount(monkeypatch):
     calls = []
     real = np.bincount
     monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(a) or real(*a, **k))
     rng = np.random.default_rng(17)
-    for lead in (3, 16):  # fibers narrower and wider than the target
+    for lead in (3, 1000):  # fibers wider and no wider than the target
         for last in (1, 8, 9, 12, 1000):
             space = mt.ProductSpace((lead, last))
             t = mt.ScaleMap.decimation(space)
@@ -495,10 +495,10 @@ def test_block_maps_never_call_bincount(monkeypatch):
             w[:last] = -0.0  # bincount sums this fiber to +0.0
             p = mt.TabularDist.from_weights(space, w)
             image = mt.pushforward(p, t)
-            assert not calls
+            assert len(calls) == (last > lead)
+            calls.clear()
             want = real(np.arange(space.size) // last, weights=p.probs, minlength=lead)
             assert image.probs.tobytes() == want.tobytes()
-            assert image.probs.base is None  # no view into a source-sized array
     # an explicit map that is not a block map sums by bincount
     explicit = mt.ScaleMap(space, t.target, t.map[::-1])
     assert explicit.fiber is None
@@ -517,7 +517,7 @@ def traced_bytes(fn):
         tracemalloc.stop()
 
 
-def test_decimation_map_is_computed_on_each_read():
+def test_decimation_map_is_computed_on_each_read(monkeypatch):
     # the block kernels read only the fiber width: a decimation holds no index array
     wide = mt.ProductSpace((2,) * 18)
     backend, held = traced_bytes(lambda: ms.TabularBackend.decimation(wide, 10))
@@ -541,10 +541,17 @@ def test_decimation_map_is_computed_on_each_read():
     sched = TemperatureSchedule(1.3, (0.9, 0.4, 0.6, 0.7))
     gibbs = mt.gibbs(f, q, 1.0 / (sched.lam * sched.sigma[0]))
     backend = ms.TabularBackend.decimation(space, sched.depth)
-    for with_trace in (False, True):
-        ms.solve_max_entropy(f, sched, backend, with_trace)
-        ms.solve_min_relative_entropy(f, q, sched, backend, with_trace)
-        ms.solve_mt(gibbs, q, sched, backend, with_trace)
+    read = []
+    with monkeypatch.context() as m:
+        plain = mt.ScaleMap.map.fget
+        m.setattr(mt.ScaleMap, "map", property(lambda t: read.append(t) or plain(t)))
+        for with_trace in (False, True):
+            ms.solve_max_entropy(f, sched, backend, with_trace)
+            ms.solve_min_relative_entropy(f, q, sched, backend, with_trace)
+            ms.solve_mt(gibbs, q, sched, backend, with_trace)
+    # only pushforward's bincount reads a map: the last one, 8 wide onto 4 target states
+    assert [t.fiber > t.target.size for t in backend.chain] == [False, False, True]
+    assert read and all(t is backend.chain[-1] for t in read)
     for t in backend.chain:
         assert t.map is not t.map  # computed afresh on each read
         assert np.array_equal(t.map, np.arange(t.source.size) // t.fiber)
