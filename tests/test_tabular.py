@@ -506,13 +506,14 @@ def test_only_block_maps_wider_than_their_target_call_bincount(monkeypatch):
     assert len(calls) == 1
 
 
-def traced_bytes(fn):
-    """``fn()`` and the bytes that tracemalloc sees it leave allocated."""
+def traced_bytes(fn, peak=False):
+    """``fn()`` and the bytes that tracemalloc sees it leave allocated, or with ``peak``
+    the most it saw allocated at once while ``fn`` ran."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         out = fn()
-        return out, tracemalloc.get_traced_memory()[0] - before
+        return out, tracemalloc.get_traced_memory()[1 if peak else 0] - before
     finally:
         tracemalloc.stop()
 
@@ -561,6 +562,24 @@ def test_decimation_map_is_computed_on_each_read(monkeypatch):
     assert np.array_equal(explicit.map, backend.chain[0].map) and not explicit.map.flags.writeable
 
 
+def test_refinement_step_holds_no_source_size_copy():
+    # a 2^16-state decimation step with k = 2, with every row defined and with one not:
+    # the table builds no source-size array, and refine allocates only its output
+    space = mt.ProductSpace((2,) * 16)
+    t = mt.ScaleMap.decimation(space)
+    rng = np.random.default_rng(37)
+    for undefined in (0, 2):
+        w = rng.uniform(0.05, 1.0, space.size)
+        w[:undefined] = 0.0
+        p = mt.TabularDist.from_weights(space, w)
+        image = mt.pushforward(p, t)
+        coarse = mt.TabularDist.from_weights(t.target, rng.random(t.target.size) * (image.probs > 0))
+        cond, held = traced_bytes(lambda: mt.reverse_conditional(p, t, image))
+        assert held < 8 * space.size  # a stored probs would take 512 KiB
+        out, peak = traced_bytes(lambda: mt.refine(coarse, [cond]), peak=True)
+        assert peak <= out.probs.nbytes + 8 * t.target.size  # a lifted copy would hit this
+
+
 def test_oracles_store_nothing_on_the_chain():
     rng = np.random.default_rng(31)
     for axes, oracle in (((2,) * 16, mo.exact_tabular), ((4,) * 6, mo.minimize_tabular)):
@@ -579,6 +598,8 @@ def test_guards_reject_invalid_inputs():
     p = mt.TabularDist.uniform(s4)
     t = mt.ScaleMap(s4, s2, [0, 0, 1, 1])
     flat = mt.EnergyTable(s4, np.zeros(s4.size))
+    s22 = mt.ProductSpace((2, 2))
+    p22, off_target = mt.TabularDist.uniform(s22), mt.TabularDist.uniform(mt.ProductSpace((3,)))
     cases = [
         (lambda: mt.ProductSpace(()), ValueError, "at least one axis"),
         (lambda: mt.TabularDist.from_weights(s4, np.zeros(s4.size)), ValueError,
@@ -587,6 +608,10 @@ def test_guards_reject_invalid_inputs():
          SpaceMismatch, "source differs"),
         (lambda: mt.refine(p, [mt.reverse_conditional(p, t)]), SpaceMismatch,
          "does not match the current space"),
+        (lambda: mt.reverse_conditional(p22, mt.ScaleMap(s22, s2, [0, 1, 1, 0]), off_target),
+         SpaceMismatch, "image space differs"),
+        (lambda: mt.reverse_conditional(p22, mt.ScaleMap.decimation(s22), off_target),
+         SpaceMismatch, "image space differs"),
         (lambda: mt.tilt(p, p, 1.5), ValueError, r"in \[0,1\]"),
         (lambda: mt.tilt(p, p, -0.5), ValueError, r"in \[0,1\]"),
         (lambda: mt.gibbs(flat, p, 0.0), ValueError, "must be > 0"),
