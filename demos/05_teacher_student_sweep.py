@@ -3,10 +3,10 @@ population risk is best at an interior mixing weight alpha, beating both
 the single-scale posterior (alpha = 0) and near-random-feature sampling
 (alpha close to 1).
 
-``nn.teacher_student_sweep`` estimates the risk at every grid point (point i
-of the sorted, alpha-major grid draws from ``SeedSequence(seed,
-spawn_key=(1, i))``) and ``nn.min_risk_per_alpha`` keeps each alpha's best
-sigma1.  The command line runs the same sweep at full size:
+``nn.teacher_student_sweep`` estimates the risk at every grid point of the
+sorted, alpha-major grid (every point draws from ``SeedSequence(seed,
+spawn_key=(1,))``, so all points share one test set and one weight-noise
+matrix) and ``nn.min_risk_per_alpha`` keeps each alpha's best sigma1.  The command line runs the same sweep at full size:
     msgibbs experiment --config configs/experiment_fig1.json --out sweep.csv
 """
 

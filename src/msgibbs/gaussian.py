@@ -29,10 +29,14 @@ def _symmetrize(mat, what="matrix", tol=TOL.symmetry):
         raise DimensionMismatch(f"{what} must be square, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
         raise NumericalGuard(f"{what} has non-finite entries")
-    gap = float(np.abs(mat - mat.T).max(initial=0.0))
-    if gap > tol * max(1.0, float(np.abs(mat).max(initial=0.0))):
+    buf = np.subtract(mat, mat.T)  # one n x n buffer: the gap, then the symmetric part
+    gap = float(np.abs(buf, out=buf).max(initial=0.0))
+    scale = max(1.0, float(mat.max(initial=0.0)), -float(mat.min(initial=0.0)))
+    if gap > tol * scale:
         raise NumericalGuard(f"{what} is asymmetric beyond tolerance (gap {gap!r})")
-    return 0.5 * (mat + mat.T)
+    np.add(mat, mat.T, out=buf)
+    buf *= 0.5
+    return buf
 
 
 def _cholesky_pd(mat, what="matrix"):

@@ -17,8 +17,10 @@ permutation, which keeps the (k, b) order within each output row a.  So the
 dense Cholesky factor is exactly ``P (I_m (x) L) P'``, and the same standard
 normals give the same weights as :func:`gaussian.sample` on the dense form.
 
-:func:`teacher_student_sweep` estimates its risk over an alpha x sigma1 grid;
-point i of the sorted grid draws from ``SeedSequence(seed, spawn_key=(1, i))``.
+:func:`teacher_student_sweep` estimates its risk over an alpha x sigma1 grid.
+Every point draws from ``SeedSequence(seed, spawn_key=(1,))``: all points share
+one test set and one standard-normal weight-noise matrix (common random numbers),
+so alpha values are compared on the same draws.
 """
 
 import contextlib
@@ -318,11 +320,14 @@ class TeacherStudentPosterior:
     def dim(self):
         return self.mean.size
 
-    def sample_layers(self, rng):
-        """One draw of the layers from ``rng.standard_normal(dim)``, as :func:`sample`."""
+    def sample_layers(self, rng, size=None):
+        """Draws of the layers from the rows of ``rng.standard_normal((size, dim))``, as
+        :func:`sample`: shape (d, m, m) without ``size``, (size, d, m, m) with it."""
         d, m, _ = self.mean.shape
-        z = rng.standard_normal(self.dim).reshape(d, m, m).transpose(1, 0, 2).reshape(m, d * m)
-        return self.mean + (z @ self.row_chol.T).reshape(m, d, m).transpose(1, 0, 2)
+        n = 1 if size is None else int(size)
+        z = rng.standard_normal((n, d, m, m)).transpose(0, 2, 1, 3).reshape(n * m, d * m)
+        layers = self.mean + (z @ self.row_chol.T).reshape(n, m, d, m).transpose(0, 2, 1, 3)
+        return layers[0] if size is None else layers
 
     def to_dense(self):
         """The same distribution as a dim-d*m^2 :class:`GaussianDist`."""
@@ -374,26 +379,28 @@ def teacher_student_posterior(cfg, train, alpha, sigma1):
 def population_risk_mc(posterior, teacher, cfg, n_test, n_weights, seed):
     """Monte-Carlo population risk of weights drawn from a factored or dense posterior.
 
-    Each weight sample owns a deterministically derived random substream, so
-    the estimate does not depend on evaluation order or parallelism.
-    Returns (estimate, standard error).
+    One generator, ``np.random.default_rng(seed)``, draws the labelled test set
+    first and then all ``n_weights`` weight vectors at once, from the rows of one
+    (n_weights, dim) standard-normal matrix in dense order.  Calls with the same
+    seed therefore share the test set and the weight noise (common random
+    numbers), whatever the posterior.  Returns (estimate, standard error over the
+    weight draws).
     """
     if posterior.dim != cfg.d * cfg.m**2:
         raise DimensionMismatch("posterior dimension does not match the config")
     if n_test < 1 or n_weights < 1:
         raise ValueError(f"need n_test >= 1 and n_weights >= 1, got {n_test} and {n_weights}")
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    streams = ss.spawn(n_weights + 1)
-    test = _labelled(teacher, n_test, np.random.default_rng(streams[-1]))
+    rng = np.random.default_rng(seed)
+    test = _labelled(teacher, n_test, rng)
+    draws = (posterior.sample_layers(rng, n_weights)
+             if isinstance(posterior, TeacherStudentPosterior)
+             else sample(posterior, rng, n_weights).reshape(n_weights, cfg.d, cfg.m, cfg.m))
+    if not np.isfinite(draws).all():
+        raise ValueError("weights must be finite")
     xs_t, ys_t = (np.array(a.T, order="C") for a in (test.xs, test.ys))
     out, buf = np.empty_like(xs_t), np.empty_like(xs_t)
     risks = np.empty(n_weights)
-    for i in range(n_weights):
-        rng = np.random.default_rng(streams[i])
-        layers = (posterior.sample_layers(rng) if isinstance(posterior, TeacherStudentPosterior)
-                  else sample(posterior, rng).reshape(cfg.d, cfg.m, cfg.m))
-        if not np.isfinite(layers).all():
-            raise ValueError("weights must be finite")
+    for i, layers in enumerate(draws):
         np.copyto(out, xs_t)
         _forward_columns(layers, out, buf)
         out -= ys_t
@@ -403,9 +410,9 @@ def population_risk_mc(posterior, teacher, cfg, n_test, n_weights, seed):
     return estimate, stderr
 
 
-def _sweep_point(cfg, teacher, train, n_test, n_weights, index, point):
+def _sweep_point(cfg, teacher, train, n_test, n_weights, point):
     posterior = teacher_student_posterior(cfg, train, *point)
-    seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1, index))
+    seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1,))
     return population_risk_mc(posterior, teacher, cfg, n_test, n_weights, seed)
 
 
@@ -444,13 +451,15 @@ def teacher_student_sweep(cfg, alphas, sigma1s, n_test, n_weights, workers=1):
     """Rows ``(alpha, sigma1, risk, stderr)`` of :func:`population_risk_mc` for
     :func:`teacher_student_posterior` over the sorted grid, alpha-major.
 
-    Point ``i`` draws from ``SeedSequence(cfg.seed, spawn_key=(1, i))``, so the
-    rows do not depend on ``workers``.  The pool forks at most one process per
-    chunk of 4 points and is shut down before the call returns.  Numpy's bundled
-    OpenBLAS, where there is one, runs on one thread here and in every worker for
-    the whole call, and the old count is back when the call returns or raises:
-    the thread count moves the rows in their last bits, and a pool of processes
-    that each run multi-threaded BLAS oversubscribes the cores.
+    Every point draws from ``SeedSequence(cfg.seed, spawn_key=(1,))``: the points
+    share one test set and one weight-noise matrix, so the alpha values are
+    compared on common random numbers, and the rows do not depend on ``workers``.
+    The pool forks at most one process per chunk of 4 points and is shut down
+    before the call returns.  Numpy's bundled OpenBLAS, where there is one, runs
+    on one thread here and in every worker for the whole call, and the old count
+    is back when the call returns or raises: the thread count moves the rows in
+    their last bits, and a pool of processes that each run multi-threaded BLAS
+    oversubscribes the cores.
     """
     with _one_blas_thread():
         teacher, train = teacher_student_problem(cfg)
@@ -462,9 +471,9 @@ def teacher_student_sweep(cfg, alphas, sigma1s, n_test, n_weights, workers=1):
             with concurrent.futures.ProcessPoolExecutor(
                 max_workers=workers, initializer=_set_blas_threads, initargs=(1,)
             ) as pool:
-                risks = list(pool.map(run, range(len(grid)), grid, chunksize=4))
+                risks = list(pool.map(run, grid, chunksize=4))
         else:
-            risks = list(map(run, range(len(grid)), grid))
+            risks = list(map(run, grid))
     return [(*point, *risk) for point, risk in zip(grid, risks)]
 
 

@@ -299,7 +299,7 @@ def test_experiment_alpha_zero_reduces_to_single_scale(tmp_path):
 
 
 def test_experiment_matches_golden(tmp_path):
-    # pins the seeding contract: point i of the sorted grid draws from spawn_key (1, i)
+    # pins the seeding contract: every point of the sorted grid draws from spawn_key (1,)
     out = tmp_path / "smoke.csv"
     assert run(["experiment", "--config", str(CONFIGS / "experiment_smoke.json"),
                 "--out", str(out)]) == cli.EXIT_OK

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +73,27 @@ def test_guards_raise_a_typed_value_error():
     for cov in ([[1.0, 0.5], [0.2, 1.0]], [[1.0, 2.0], [2.0, 1.0]], np.diag([1e-30, 1.0])):
         with pytest.raises(NumericalGuard):  # asymmetric, indefinite, pivot below the floor
             mg.GaussianDist([0.0, 0.0], cov)
+
+
+def test_symmetrize_holds_one_matrix_buffer():
+    # the asymmetry gap and the symmetric part are computed in one n x n buffer
+    mat = random_pd(400, np.random.default_rng(13))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = mg._symmetrize(mat)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out, 0.5 * (mat + mat.T))
+    # one n x n buffer plus numpy's iteration buffers (64 KiB each); a separate gap
+    # array would take a second n x n
+    assert peak < 1.5 * mat.nbytes
+    # the gap is measured against the largest magnitude, here a negative entry
+    assert np.array_equal(mg._symmetrize([[-1e6, 1e-5], [0.0, 1.0]]),
+                          [[-1e6, 5e-6], [5e-6, 1.0]])
+    with pytest.raises(NumericalGuard, match="asymmetric"):
+        mg._symmetrize([[-1e6, 1e-3], [0.0, 1.0]])
 
 
 @pytest.fixture

@@ -357,6 +357,12 @@ def test_row_factored_posterior_draws_equal_dense_draws(m, d, n_train):
                 flat = mg.sample(dense, np.random.default_rng(k))
                 assert layers.shape == (d, m, m)
                 assert rel_gap(layers.reshape(-1), flat) <= REDUCED_RTOL, at
+                one = posterior.sample_layers(np.random.default_rng(k), size=1)
+                assert one.shape == (1, d, m, m) and np.array_equal(one[0], layers), at
+            batch = posterior.sample_layers(np.random.default_rng(3), size=5)
+            flat = mg.sample(dense, np.random.default_rng(3), 5)
+            assert batch.shape == (5, d, m, m)
+            assert rel_gap(batch.reshape(5, -1), flat) <= REDUCED_RTOL, at
             factored = mn.population_risk_mc(posterior, teacher, cfg, 40, 6, 7)
             dense_risk = mn.population_risk_mc(dense, teacher, cfg, 40, 6, 7)
             assert factored == pytest.approx(dense_risk, rel=REDUCED_RTOL, abs=0.0), at
@@ -436,12 +442,12 @@ def test_teacher_student_sweep_rows_follow_the_sorted_grid_and_the_seed_contract
     rows = sweep()
     grid = [(a, s) for a in sorted(SWEEP_ALPHAS) for s in sorted(SWEEP_SIGMA1S)]
     assert [row[:2] for row in rows] == grid
+    # every point draws from one seed: one test set and one weight-noise matrix for all
     teacher, train = mn.teacher_student_problem(SWEEP_CFG)
-    for i in (0, 7, 14):
-        posterior = mn.teacher_student_posterior(SWEEP_CFG, train, *grid[i])
-        seed = np.random.SeedSequence(SWEEP_CFG.seed, spawn_key=(1, i))
-        direct = mn.population_risk_mc(posterior, teacher, SWEEP_CFG, 100, 10, seed)
-        assert rows[i][2:] == direct
+    seed = np.random.SeedSequence(SWEEP_CFG.seed, spawn_key=(1,))
+    for row, point in zip(rows, grid):
+        posterior = mn.teacher_student_posterior(SWEEP_CFG, train, *point)
+        assert row[2:] == mn.population_risk_mc(posterior, teacher, SWEEP_CFG, 100, 10, seed)
 
 
 def test_teacher_student_sweep_pool_rows_equal_serial_rows():
