@@ -6,7 +6,8 @@ the single-scale posterior (alpha = 0) and near-random-feature sampling
 ``nn.teacher_student_sweep`` estimates the risk at every grid point of the
 sorted, alpha-major grid (every point draws from ``SeedSequence(seed,
 spawn_key=(1,))``, so all points share one test set and one weight-noise
-matrix) and ``nn.min_risk_per_alpha`` keeps each alpha's best sigma1.  The command line runs the same sweep at full size:
+matrix) and ``nn.min_risk_per_alpha`` keeps each alpha's best sigma1.  The
+command line runs the same sweep at full size:
     msgibbs experiment --config configs/experiment_fig1.json --out sweep.csv
 """
 
