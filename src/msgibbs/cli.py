@@ -414,7 +414,7 @@ def build_parser():
         if "seed" in options:
             p.add_argument("--seed", type=int, default=None, help="override config seed")
         if "workers" in options:
-            p.add_argument("--workers", type=int, default=1, help="parallel workers")
+            p.add_argument("--workers", type=int, default=1, help="worker processes")
     return parser
 
 

@@ -20,7 +20,10 @@ normals give the same weights as :func:`gaussian.sample` on the dense form.
 :func:`teacher_student_sweep` estimates its risk over an alpha x sigma1 grid.
 Every point draws from ``SeedSequence(seed, spawn_key=(1,))``: all points share
 one test set and one standard-normal weight-noise matrix (common random numbers),
-so alpha values are compared on the same draws.
+so alpha values are compared on the same draws.  :func:`population_risk_mc` runs
+the forward passes of its weight draws on one thread per usable CPU; each draw's
+risk is computed alone and the mean is taken in draw order, so the results do not
+depend on the thread count.
 """
 
 import contextlib
@@ -29,6 +32,7 @@ import functools
 import glob
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -383,8 +387,12 @@ def population_risk_mc(posterior, teacher, cfg, n_test, n_weights, seed):
     first and then all ``n_weights`` weight vectors at once, from the rows of one
     (n_weights, dim) standard-normal matrix in dense order.  Calls with the same
     seed therefore share the test set and the weight noise (common random
-    numbers), whatever the posterior.  Returns (estimate, standard error over the
-    weight draws).
+    numbers), whatever the posterior.  The draws' forward passes run in contiguous
+    chunks, one per usable CPU (at most one per draw), the first on the calling
+    thread, with numpy's bundled OpenBLAS on one thread; each thread writes only
+    its own draws' risks, so the results are the same bits whatever the thread
+    count.  An error in any chunk is raised once every thread has ended.  Returns
+    (estimate, standard error over the weight draws).
     """
     if posterior.dim != cfg.d * cfg.m**2:
         raise DimensionMismatch("posterior dimension does not match the config")
@@ -398,16 +406,41 @@ def population_risk_mc(posterior, teacher, cfg, n_test, n_weights, seed):
     if not np.isfinite(draws).all():
         raise ValueError("weights must be finite")
     xs_t, ys_t = (np.array(a.T, order="C") for a in (test.xs, test.ys))
-    out, buf = np.empty_like(xs_t), np.empty_like(xs_t)
     risks = np.empty(n_weights)
-    for i, layers in enumerate(draws):
-        np.copyto(out, xs_t)
-        _forward_columns(layers, out, buf)
-        out -= ys_t
-        risks[i] = np.vdot(out, out) / test.n
+    errors = []
+
+    def risks_of(lo, hi):
+        out, buf = np.empty_like(xs_t), np.empty_like(xs_t)
+        try:
+            for i in range(lo, hi):
+                np.copyto(out, xs_t)
+                _forward_columns(draws[i], out, buf)
+                out -= ys_t
+                risks[i] = np.vdot(out, out) / test.n
+        except BaseException as exc:
+            errors.append(exc)
+
+    n_threads = min(n_weights, _usable_cpus())
+    ends = [n_weights * k // n_threads for k in range(n_threads + 1)]
+    threads = [threading.Thread(target=risks_of, args=chunk) for chunk in zip(ends[1:], ends[2:])]
+    with _one_blas_thread():
+        for thread in threads:
+            thread.start()
+        risks_of(0, ends[1])
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     estimate = float(risks.mean())
     stderr = float(risks.std(ddof=1) / math.sqrt(n_weights)) if n_weights > 1 else 0.0
     return estimate, stderr
+
+
+def _usable_cpus():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _sweep_point(cfg, teacher, train, n_test, n_weights, point):

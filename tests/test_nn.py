@@ -4,6 +4,8 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -217,15 +219,24 @@ def test_gauss_newton_energy_matches_the_per_sample_sums(m, d, n, scale):
 
 
 def test_importing_the_cli_leaves_the_process_pool_unloaded():
-    # only a sweep with workers > 1 imports concurrent.futures (and logging with it)
-    code = ("import sys, msgibbs.cli; "
-            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+    # only a sweep with workers > 1 imports concurrent.futures (and logging with it);
+    # a serial sweep whose risk estimates run on three threads imports neither
+    code = (
+        "import sys, msgibbs.cli\n"
+        "from msgibbs import nn\n"
+        "pool = {'concurrent.futures', 'logging'}\n"
+        "print(sorted(pool & set(sys.modules)))\n"
+        "nn._usable_cpus = lambda: 3\n"
+        "cfg = nn.TeacherStudentConfig(m=3, d=3, teacher_depth=1, n_train=8, seed=4)\n"
+        "nn.teacher_student_sweep(cfg, [0.0, 0.5], [1e-4, 1e-3], 100, 10, workers=1)\n"
+        "print(sorted(pool & set(sys.modules)))"
+    )
     src = os.path.dirname(os.path.dirname(mn.__file__))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True).stdout
-    assert loaded == "[]\n"
+    assert loaded == "[]\n[]\n"
 
 
 def test_gauss_newton_nonzero_expansion_point():
@@ -464,6 +475,52 @@ def test_teacher_student_sweep_forks_at_most_one_process_per_chunk(pool_sizes):
     assert pool_sizes == [4, 3]
 
 
+def test_population_risk_mc_results_do_not_depend_on_the_thread_count(monkeypatch):
+    teacher, train = mn.teacher_student_problem(SWEEP_CFG)
+    factored = mn.teacher_student_posterior(SWEEP_CFG, train, 0.5, 1e-4)
+    dense = mg.GaussianDist(np.zeros(factored.dim), 0.05 * np.eye(factored.dim))
+    forward = mn._forward_columns
+    caller = threading.current_thread()
+    passes = Counter()
+
+    def counting(layers, h, buf):
+        passes[threading.current_thread()] += 1
+        return forward(layers, h, buf)
+
+    monkeypatch.setattr(mn, "_forward_columns", counting)
+    results = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(mn, "_usable_cpus", lambda: cpus)
+        passes.clear()
+        risks = [mn.population_risk_mc(p, teacher, SWEEP_CFG, 100, 10, 7) for p in (dense, factored)]
+        # each call labels its test set here, then 3 threads split its 10 draws 3 + 3 + 4,
+        # the first 3 on this thread and one 3 and one 4 on two threads of the call's own
+        others = sorted(n for thread, n in passes.items() if thread is not caller)
+        assert (passes[caller], others) == ((22, []) if cpus == 1 else (8, [3, 3, 4, 4]))
+        results.append((risks, sweep()))
+    assert results[0] == results[1]
+
+
+def test_an_error_on_a_draw_thread_reaches_the_caller_after_every_thread_ends(monkeypatch):
+    teacher, train = mn.teacher_student_problem(SWEEP_CFG)
+    posterior = mn.teacher_student_posterior(SWEEP_CFG, train, 0.5, 1e-4)
+    monkeypatch.setattr(mn, "_usable_cpus", lambda: 3)
+    forward = mn._forward_columns
+    caller = threading.current_thread()
+    fuse = threading.Lock()
+
+    def failing_once_off_the_caller(layers, h, buf):
+        if threading.current_thread() is not caller and fuse.acquire(blocking=False):
+            raise FloatingPointError("boom")
+        return forward(layers, h, buf)
+
+    monkeypatch.setattr(mn, "_forward_columns", failing_once_off_the_caller)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="boom"):
+        mn.population_risk_mc(posterior, teacher, SWEEP_CFG, 100, 10, 0)
+    assert fuse.locked() and threading.active_count() == before
+
+
 @pytest.mark.parametrize("n_test, n_weights", [(0, 5), (5, 0), (-1, 5)])
 def test_population_risk_mc_needs_a_test_input_and_a_weight_draw(n_test, n_weights):
     teacher, train = mn.teacher_student_problem(SWEEP_CFG)
@@ -504,9 +561,29 @@ def test_teacher_student_sweep_runs_blas_on_one_thread_and_restores_the_count(
     assert len(sweep(workers=2)) == len(seen) and set(seen) == {1} and get() == 2
     assert pool_sizes == [2]
 
+    # a direct call runs its draws on one BLAS thread per draw thread
+    seen.clear()
+    forward = mn._forward_columns
+
+    def recording_forward(layers, h, buf):
+        seen.append(get())
+        return forward(layers, h, buf)
+
+    teacher, train = mn.teacher_student_problem(SWEEP_CFG)
+    posterior = mn.teacher_student_posterior(SWEEP_CFG, train, 0.5, 1e-4)
+    monkeypatch.setattr(mn, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(mn, "_forward_columns", recording_forward)
+    risk(posterior, teacher, SWEEP_CFG, 100, 10, 0)
+    # the test set is labelled before the pin, and each of the 10 draws runs inside it
+    assert seen == [2] + [1] * 10 and get() == 2
+
     def failing(*args):
         raise ValueError("boom")
 
+    monkeypatch.setattr(mn, "_forward_columns", failing)
+    with pytest.raises(ValueError, match="boom"):
+        risk(posterior, teacher, SWEEP_CFG, 100, 10, 0)
+    assert get() == 2
     monkeypatch.setattr(mn, "population_risk_mc", failing)
     with pytest.raises(ValueError, match="boom"):
         sweep()
