@@ -8,7 +8,7 @@ Subcommands:
 
 Configs are JSON files; every output embeds the resolved config and the
 library version.  Outputs are byte-identical for a fixed seed regardless
-of the worker count.
+of --workers and the CPU count.
 """
 
 import argparse
@@ -318,7 +318,7 @@ def cmd_experiment(args):
         if args.workers < 1:
             raise ConfigError(f"--workers: must be >= 1, got {args.workers}")
     rows = mn.teacher_student_sweep(
-        ts_cfg, alphas, sigma1s, resolved["n_test"], resolved["n_weights"], args.workers
+        ts_cfg, alphas, sigma1s, resolved["n_test"], resolved["n_weights"]
     )
 
     header = [f"# msgibbs {__version__}", f"# config: {json.dumps(resolved, sort_keys=True)}"]
@@ -414,7 +414,8 @@ def build_parser():
         if "seed" in options:
             p.add_argument("--seed", type=int, default=None, help="override config seed")
         if "workers" in options:
-            p.add_argument("--workers", type=int, default=1, help="worker processes")
+            p.add_argument("--workers", type=int, default=1,
+                           help="no effect (>= 1): one thread per usable CPU; see taskset")
     return parser
 
 

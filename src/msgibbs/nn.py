@@ -17,13 +17,9 @@ permutation, which keeps the (k, b) order within each output row a.  So the
 dense Cholesky factor is exactly ``P (I_m (x) L) P'``, and the same standard
 normals give the same weights as :func:`gaussian.sample` on the dense form.
 
-:func:`teacher_student_sweep` estimates its risk over an alpha x sigma1 grid.
-Every point draws from ``SeedSequence(seed, spawn_key=(1,))``: all points share
-one test set and one standard-normal weight-noise matrix (common random numbers),
-so alpha values are compared on the same draws.  :func:`population_risk_mc` runs
-the forward passes of its weight draws on one thread per usable CPU; each draw's
-risk is computed alone and the mean is taken in draw order, so the results do not
-depend on the thread count.
+:func:`teacher_student_sweep` estimates the risk over an alpha x sigma1 grid, all
+points on one test set and one weight-noise matrix (common random numbers) and on
+one thread per usable CPU; the results do not depend on the thread count.
 """
 
 import contextlib
@@ -327,11 +323,17 @@ class TeacherStudentPosterior:
     def sample_layers(self, rng, size=None):
         """Draws of the layers from the rows of ``rng.standard_normal((size, dim))``, as
         :func:`sample`: shape (d, m, m) without ``size``, (size, d, m, m) with it."""
-        d, m, _ = self.mean.shape
-        n = 1 if size is None else int(size)
-        z = rng.standard_normal((n, d, m, m)).transpose(0, 2, 1, 3).reshape(n * m, d * m)
-        layers = self.mean + (z @ self.row_chol.T).reshape(n, m, d, m).transpose(0, 2, 1, 3)
+        layers = self.layers_of(rng.standard_normal((1 if size is None else int(size), self.dim)))
         return layers[0] if size is None else layers
+
+    def layers_of(self, noise):
+        """The layers, (n, d, m, m), of the weights ``mean + L z`` for each row z of the
+        standard-normal ``noise`` (n, dim), L the dense Cholesky factor."""
+        d, m, _ = self.mean.shape
+        z = noise.reshape(-1, d, m, m).transpose(0, 2, 1, 3).reshape(-1, d * m)
+        layers = (z @ self.row_chol.T).reshape(-1, m, d, m).transpose(0, 2, 1, 3)
+        layers += self.mean
+        return layers
 
     def to_dense(self):
         """The same distribution as a dim-d*m^2 :class:`GaussianDist`."""
@@ -383,70 +385,82 @@ def teacher_student_posterior(cfg, train, alpha, sigma1):
 def population_risk_mc(posterior, teacher, cfg, n_test, n_weights, seed):
     """Monte-Carlo population risk of weights drawn from a factored or dense posterior.
 
-    One generator, ``np.random.default_rng(seed)``, draws the labelled test set
-    first and then all ``n_weights`` weight vectors at once, from the rows of one
-    (n_weights, dim) standard-normal matrix in dense order.  Calls with the same
-    seed therefore share the test set and the weight noise (common random
-    numbers), whatever the posterior.  The draws' forward passes run in contiguous
-    chunks, one per usable CPU (at most one per draw), the first on the calling
-    thread, with numpy's bundled OpenBLAS on one thread; each thread writes only
-    its own draws' risks, so the results are the same bits whatever the thread
-    count.  An error in any chunk is raised once every thread has ended.  Returns
-    (estimate, standard error over the weight draws).
+    ``np.random.default_rng(seed)`` draws the labelled test set first, then the ``n_weights``
+    weight vectors from the rows of one (n_weights, dim) standard-normal matrix in dense
+    order: calls with one seed share both (common random numbers).  OpenBLAS runs on one
+    thread, the forward passes on :func:`_on_threads`.  Returns (estimate, stderr over the draws).
     """
     if posterior.dim != cfg.d * cfg.m**2:
         raise DimensionMismatch("posterior dimension does not match the config")
+    with _one_blas_thread():
+        test, rng = _test_set(teacher, n_test, n_weights, seed)
+        draws = (posterior.sample_layers(rng, n_weights)
+                 if isinstance(posterior, TeacherStudentPosterior)
+                 else sample(posterior, rng, n_weights).reshape(n_weights, cfg.d, cfg.m, cfg.m))
+        return _risk(draws, test, _on_threads)
+
+
+def _test_set(teacher, n_test, n_weights, seed):
+    """The labelled test set, drawn first from ``np.random.default_rng(seed)``, and that rng."""
     if n_test < 1 or n_weights < 1:
         raise ValueError(f"need n_test >= 1 and n_weights >= 1, got {n_test} and {n_weights}")
     rng = np.random.default_rng(seed)
-    test = _labelled(teacher, n_test, rng)
-    draws = (posterior.sample_layers(rng, n_weights)
-             if isinstance(posterior, TeacherStudentPosterior)
-             else sample(posterior, rng, n_weights).reshape(n_weights, cfg.d, cfg.m, cfg.m))
+    return _labelled(teacher, n_test, rng), rng
+
+
+def _risk(draws, test, run):
+    """(mean, standard error) of the risks of the draws (n, d, m, m) on the test set;
+    ``run`` runs the forward passes, 4 draws a block, as :func:`_on_threads` does."""
     if not np.isfinite(draws).all():
         raise ValueError("weights must be finite")
     xs_t, ys_t = (np.array(a.T, order="C") for a in (test.xs, test.ys))
-    risks = np.empty(n_weights)
-    errors = []
+    scratch = threading.local()  # each thread's (out, buf) pair, reused from block to block
 
-    def risks_of(lo, hi):
-        out, buf = np.empty_like(xs_t), np.empty_like(xs_t)
-        try:
-            for i in range(lo, hi):
-                np.copyto(out, xs_t)
-                _forward_columns(draws[i], out, buf)
-                out -= ys_t
-                risks[i] = np.vdot(out, out) / test.n
-        except BaseException as exc:
-            errors.append(exc)
+    def block(b):
+        lo, hi = 4 * b, min(4 * b + 4, len(draws))
+        if not hasattr(scratch, "pair"):
+            scratch.pair = np.empty((2, 4, *xs_t.shape))
+        out, buf = scratch.pair[:, : hi - lo]
+        out[...] = xs_t
+        _forward_columns(draws[lo:hi].transpose(1, 0, 2, 3), out, buf)
+        out -= ys_t
+        return [np.vdot(h, h) / test.n for h in out]
 
-    n_threads = min(n_weights, _usable_cpus())
-    ends = [n_weights * k // n_threads for k in range(n_threads + 1)]
-    threads = [threading.Thread(target=risks_of, args=chunk) for chunk in zip(ends[1:], ends[2:])]
-    with _one_blas_thread():
-        for thread in threads:
-            thread.start()
-        risks_of(0, ends[1])
-        for thread in threads:
-            thread.join()
+    risks = np.concatenate(run(-(-len(draws) // 4), block))
+    stderr = float(risks.std(ddof=1) / math.sqrt(len(risks))) if len(risks) > 1 else 0.0
+    return float(risks.mean()), stderr
+
+
+def _on_threads(n, task):
+    """``[task(i) for i in range(n)]`` on min(n, usable CPUs) threads, this one included,
+    each taking the next i under a lock; the first error is raised once all have ended."""
+    indices, lock, errors, results = iter(range(n)), threading.Lock(), [], [None] * n
+
+    def take():
+        with lock:
+            return None if errors else next(indices, None)
+
+    def work():
+        for i in iter(take, None):
+            try:
+                results[i] = task(i)
+            except BaseException as exc:
+                errors.append(exc)
+
+    threads = [threading.Thread(target=work) for _ in range(min(n, _usable_cpus()) - 1)]
+    for thread in threads:
+        thread.start()
+    work()
+    for thread in threads:
+        thread.join()
     if errors:
         raise errors[0]
-    estimate = float(risks.mean())
-    stderr = float(risks.std(ddof=1) / math.sqrt(n_weights)) if n_weights > 1 else 0.0
-    return estimate, stderr
+    return results
 
 
 def _usable_cpus():
     """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _sweep_point(cfg, teacher, train, n_test, n_weights, point):
-    posterior = teacher_student_posterior(cfg, train, *point)
-    seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1,))
-    return population_risk_mc(posterior, teacher, cfg, n_test, n_weights, seed)
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @functools.cache
@@ -460,54 +474,39 @@ def _openblas():
     return None
 
 
-def _set_blas_threads(n):
-    """Set the BLAS thread count to n; return the old count (None without OpenBLAS)."""
-    blas = _openblas()
-    if blas is None:
-        return None
-    old = blas[0]()
-    blas[1](n)
-    return old
-
-
 @contextlib.contextmanager
 def _one_blas_thread():
-    old = _set_blas_threads(1)
+    """Numpy's bundled OpenBLAS, where there is one, on one thread inside the block."""
+    get, set_threads = _openblas() or (lambda: None, lambda n: None)
+    old = get()
+    set_threads(1)
     try:
         yield
     finally:
-        if old is not None:
-            _set_blas_threads(old)
+        set_threads(old)
 
 
-def teacher_student_sweep(cfg, alphas, sigma1s, n_test, n_weights, workers=1):
+def teacher_student_sweep(cfg, alphas, sigma1s, n_test, n_weights):
     """Rows ``(alpha, sigma1, risk, stderr)`` of :func:`population_risk_mc` for
     :func:`teacher_student_posterior` over the sorted grid, alpha-major.
 
-    Every point draws from ``SeedSequence(cfg.seed, spawn_key=(1,))``: the points
-    share one test set and one weight-noise matrix, so the alpha values are
-    compared on common random numbers, and the rows do not depend on ``workers``.
-    The pool forks at most one process per chunk of 4 points and is shut down
-    before the call returns.  Numpy's bundled OpenBLAS, where there is one, runs
-    on one thread here and in every worker for the whole call, and the old count
-    is back when the call returns or raises: the thread count moves the rows in
-    their last bits, and a pool of processes that each run multi-threaded BLAS
-    oversubscribes the cores.
+    All points share one test set and one weight-noise matrix, drawn once from
+    ``SeedSequence(cfg.seed, spawn_key=(1,))`` (common random numbers).  They run on
+    :func:`_on_threads`, each one's draws in series.  OpenBLAS runs on one thread for
+    the whole call, as its thread count moves the rows' last bits, and is then reset.
     """
     with _one_blas_thread():
         teacher, train = teacher_student_problem(cfg)
         grid = [(a, s) for a in sorted(map(float, alphas)) for s in sorted(map(float, sigma1s))]
-        run = functools.partial(_sweep_point, cfg, teacher, train, n_test, n_weights)
-        workers = min(workers, -(-len(grid) // 4))
-        if workers > 1:
-            import concurrent.futures  # loads logging: only a pool pays for it
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers, initializer=_set_blas_threads, initargs=(1,)
-            ) as pool:
-                risks = list(pool.map(run, grid, chunksize=4))
-        else:
-            risks = list(map(run, grid))
-    return [(*point, *risk) for point, risk in zip(grid, risks)]
+        seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1,))
+        test, rng = _test_set(teacher, n_test, n_weights, seed)
+        noise = rng.standard_normal((n_weights, cfg.d * cfg.m**2))
+
+        def point(i):
+            layers = teacher_student_posterior(cfg, train, *grid[i]).layers_of(noise)
+            return (*grid[i], *_risk(layers, test, lambda n, task: [task(b) for b in range(n)]))
+
+        return _on_threads(len(grid), point)
 
 
 def min_risk_per_alpha(rows):

@@ -341,16 +341,6 @@ def test_experiment_workers_below_one_is_a_config_error(capsys, workers):
     assert_one_config_error_line(captured.err)
 
 
-def test_experiment_pool_forks_at_most_one_process_per_chunk(tmp_path, pool_sizes):
-    cfg = str(CONFIGS / "experiment_smoke.json")
-    for workers in ("1", "8"):
-        out = tmp_path / f"w{workers}.csv"
-        assert run(["experiment", "--config", cfg, "--out", str(out), "--workers", workers]) == 0
-    # 12 grid points in chunks of 4
-    assert pool_sizes == [3]
-    assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w8.csv").read_bytes()
-
-
 def test_bounds_dirac_report(tmp_path):
     out = tmp_path / "bounds.json"
     code = run(

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -218,17 +217,20 @@ def test_gauss_newton_energy_matches_the_per_sample_sums(m, d, n, scale):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def test_importing_the_cli_leaves_the_process_pool_unloaded():
-    # only a sweep with workers > 1 imports concurrent.futures (and logging with it);
-    # a serial sweep whose risk estimates run on three threads imports neither
+def test_importing_the_cli_leaves_the_process_pool_unloaded(tmp_path):
+    # the sweep runs on plain threads: neither a sweep on three of them nor an
+    # experiment with --workers 8 loads a process pool (or the logging it imports)
+    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "experiment_smoke.json")
     code = (
         "import sys, msgibbs.cli\n"
         "from msgibbs import nn\n"
-        "pool = {'concurrent.futures', 'logging'}\n"
+        "pool = {'concurrent.futures', 'multiprocessing', 'logging'}\n"
         "print(sorted(pool & set(sys.modules)))\n"
         "nn._usable_cpus = lambda: 3\n"
         "cfg = nn.TeacherStudentConfig(m=3, d=3, teacher_depth=1, n_train=8, seed=4)\n"
-        "nn.teacher_student_sweep(cfg, [0.0, 0.5], [1e-4, 1e-3], 100, 10, workers=1)\n"
+        "nn.teacher_student_sweep(cfg, [0.0, 0.5], [1e-4, 1e-3], 100, 10)\n"
+        f"argv = ['experiment', '--config', {config!r}, '--out', {str(tmp_path / 'e.csv')!r}]\n"
+        "assert msgibbs.cli.main(argv + ['--workers', '8']) == 0\n"
         "print(sorted(pool & set(sys.modules)))"
     )
     src = os.path.dirname(os.path.dirname(mn.__file__))
@@ -440,13 +442,13 @@ def test_population_risk_mc():
 
 
 SWEEP_CFG = mn.TeacherStudentConfig(m=3, d=3, teacher_depth=1, n_train=8, seed=4)
-#: unsorted on purpose: 3 x 5 = 15 points, 4 chunks of the pool
+#: unsorted on purpose: 3 x 5 = 15 points
 SWEEP_ALPHAS = [0.5, 0.0, 0.999]
 SWEEP_SIGMA1S = [1e-3, 1e-6, 1e-2, 1e-4, 1e-5]
 
 
-def sweep(workers=1):
-    return mn.teacher_student_sweep(SWEEP_CFG, SWEEP_ALPHAS, SWEEP_SIGMA1S, 100, 10, workers)
+def sweep():
+    return mn.teacher_student_sweep(SWEEP_CFG, SWEEP_ALPHAS, SWEEP_SIGMA1S, 100, 10)
 
 
 def test_teacher_student_sweep_rows_follow_the_sorted_grid_and_the_seed_contract():
@@ -461,18 +463,47 @@ def test_teacher_student_sweep_rows_follow_the_sorted_grid_and_the_seed_contract
         assert row[2:] == mn.population_risk_mc(posterior, teacher, SWEEP_CFG, 100, 10, seed)
 
 
-def test_teacher_student_sweep_pool_rows_equal_serial_rows():
-    assert sweep(workers=2) == sweep()
-    assert multiprocessing.active_children() == []
-
-
-def test_teacher_student_sweep_forks_at_most_one_process_per_chunk(pool_sizes):
+@pytest.mark.parametrize("cpus", [1, 2, 5, 20])
+def test_teacher_student_sweep_rows_do_not_depend_on_the_thread_count(monkeypatch, cpus):
     rows = sweep()
-    assert sweep(workers=8) == rows and pool_sizes == [4]
-    assert sweep(workers=3) == rows and pool_sizes == [4, 3]
-    # a grid of one chunk runs without a pool
-    mn.teacher_student_sweep(SWEEP_CFG, [0.0], SWEEP_SIGMA1S[:4], 100, 10, workers=8)
-    assert pool_sizes == [4, 3]
+    started = []
+    thread = threading.Thread
+
+    def recording(*args, **kwargs):
+        started.append(None)
+        return thread(*args, **kwargs)
+
+    monkeypatch.setattr(mn, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(threading, "Thread", recording)
+    # 20 CPUs are more than the 15 points: one thread per point, this one included
+    assert sweep() == rows and len(started) == min(cpus, 15) - 1
+
+
+def test_on_threads_runs_every_index_once_and_returns_with_no_thread_left(monkeypatch):
+    # more threads than cores, switching as often as the interpreter allows: a lost or
+    # doubled index would show in the list
+    monkeypatch.setattr(mn, "_usable_cpus", lambda: 8)
+    done, before, interval = [], threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        mn._on_threads(2000, done.append)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(done) == list(range(2000)) and threading.active_count() == before
+
+
+def test_on_threads_takes_no_index_after_an_error(monkeypatch):
+    monkeypatch.setattr(mn, "_usable_cpus", lambda: 1)
+    ran = []
+
+    def task(i):
+        ran.append(i)
+        if i == 2:
+            raise ValueError("boom")
+
+    with pytest.raises(ValueError, match="boom"):
+        mn._on_threads(10, task)
+    assert ran == [0, 1, 2]
 
 
 def test_population_risk_mc_results_do_not_depend_on_the_thread_count(monkeypatch):
@@ -481,43 +512,67 @@ def test_population_risk_mc_results_do_not_depend_on_the_thread_count(monkeypatc
     dense = mg.GaussianDist(np.zeros(factored.dim), 0.05 * np.eye(factored.dim))
     forward = mn._forward_columns
     caller = threading.current_thread()
-    passes = Counter()
+    blocks = []
 
-    def counting(layers, h, buf):
-        passes[threading.current_thread()] += 1
+    def recording(layers, h, buf):
+        blocks.append((threading.current_thread(), h.shape[0] if h.ndim == 3 else None))
         return forward(layers, h, buf)
 
-    monkeypatch.setattr(mn, "_forward_columns", counting)
+    monkeypatch.setattr(mn, "_forward_columns", recording)
     results = []
     for cpus in (1, 3):
         monkeypatch.setattr(mn, "_usable_cpus", lambda: cpus)
-        passes.clear()
-        risks = [mn.population_risk_mc(p, teacher, SWEEP_CFG, 100, 10, 7) for p in (dense, factored)]
-        # each call labels its test set here, then 3 threads split its 10 draws 3 + 3 + 4,
-        # the first 3 on this thread and one 3 and one 4 on two threads of the call's own
-        others = sorted(n for thread, n in passes.items() if thread is not caller)
-        assert (passes[caller], others) == ((22, []) if cpus == 1 else (8, [3, 3, 4, 4]))
+        blocks.clear()
+        risks = [mn.population_risk_mc(p, teacher, SWEEP_CFG, 100, 10, 7)
+                 for p in (dense, factored)]
+        # each call labels its test set here, then runs its 10 draws in blocks of 4, 4
+        # and 2, on this thread alone or on it and two threads of the call's own
+        assert [thread for thread, size in blocks if size is None] == [caller, caller]
+        assert sorted(size for _, size in blocks if size) == [2, 2, 4, 4, 4, 4]
+        others = {thread for thread, _ in blocks} - {caller}
+        assert len(others) <= (0 if cpus == 1 else 4)
         results.append((risks, sweep()))
     assert results[0] == results[1]
+
+
+def fail_once_off_the_caller(monkeypatch, name, when=lambda *args: True):
+    """Make the first call of ``mn.<name>`` for which ``when`` holds on a thread other
+    than this one raise; such calls on this thread wait until it has.  Returns the
+    fuse, locked once it has blown."""
+    func = getattr(mn, name)
+    caller = threading.current_thread()
+    fuse, blown = threading.Lock(), threading.Event()
+
+    def failing(*args):
+        if when(*args) and threading.current_thread() is caller:
+            blown.wait(timeout=10.0)
+        elif when(*args) and fuse.acquire(blocking=False):
+            blown.set()
+            raise FloatingPointError("boom")
+        return func(*args)
+
+    monkeypatch.setattr(mn, name, failing)
+    return fuse
 
 
 def test_an_error_on_a_draw_thread_reaches_the_caller_after_every_thread_ends(monkeypatch):
     teacher, train = mn.teacher_student_problem(SWEEP_CFG)
     posterior = mn.teacher_student_posterior(SWEEP_CFG, train, 0.5, 1e-4)
     monkeypatch.setattr(mn, "_usable_cpus", lambda: 3)
-    forward = mn._forward_columns
-    caller = threading.current_thread()
-    fuse = threading.Lock()
-
-    def failing_once_off_the_caller(layers, h, buf):
-        if threading.current_thread() is not caller and fuse.acquire(blocking=False):
-            raise FloatingPointError("boom")
-        return forward(layers, h, buf)
-
-    monkeypatch.setattr(mn, "_forward_columns", failing_once_off_the_caller)
+    # the test set is labelled on this thread first; only the draws' blocks fail or wait
+    fuse = fail_once_off_the_caller(monkeypatch, "_forward_columns", lambda w, h, b: h.ndim == 3)
     before = threading.active_count()
     with pytest.raises(FloatingPointError, match="boom"):
         mn.population_risk_mc(posterior, teacher, SWEEP_CFG, 100, 10, 0)
+    assert fuse.locked() and threading.active_count() == before
+
+
+def test_an_error_on_a_point_thread_reaches_the_caller_after_every_thread_ends(monkeypatch):
+    monkeypatch.setattr(mn, "_usable_cpus", lambda: 3)
+    fuse = fail_once_off_the_caller(monkeypatch, "teacher_student_posterior")
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="boom"):
+        sweep()
     assert fuse.locked() and threading.active_count() == before
 
 
@@ -543,51 +598,57 @@ def blas_threads():
 
 
 def test_teacher_student_sweep_runs_blas_on_one_thread_and_restores_the_count(
-    blas_threads, monkeypatch, pool_sizes
+    blas_threads, monkeypatch
 ):
     get, set_threads = blas_threads
     set_threads(2)
     seen = []
-    risk = mn.population_risk_mc
-
-    def recording(*args):
-        seen.append(get())
-        return risk(*args)
-
-    monkeypatch.setattr(mn, "population_risk_mc", recording)
-    assert len(sweep()) == len(seen) and set(seen) == {1} and get() == 2
-    # the pool's initializer pins the workers: here it runs in this process
-    seen.clear()
-    assert len(sweep(workers=2)) == len(seen) and set(seen) == {1} and get() == 2
-    assert pool_sizes == [2]
-
-    # a direct call runs its draws on one BLAS thread per draw thread
-    seen.clear()
     forward = mn._forward_columns
 
-    def recording_forward(layers, h, buf):
-        seen.append(get())
+    def recording(layers, h, buf):
+        seen.append((get(), h.shape[0] if h.ndim == 3 else None))
         return forward(layers, h, buf)
 
+    monkeypatch.setattr(mn, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(mn, "_forward_columns", recording)
+    # the training and test sets are labelled, then 15 points each run blocks of 4, 4, 2
+    assert len(sweep()) == 15 and get() == 2
+    assert Counter(seen) == {(1, None): 2, (1, 4): 30, (1, 2): 15}
+
+    # a direct call labels its test set and runs its draws' blocks inside the pin too
     teacher, train = mn.teacher_student_problem(SWEEP_CFG)
     posterior = mn.teacher_student_posterior(SWEEP_CFG, train, 0.5, 1e-4)
-    monkeypatch.setattr(mn, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(mn, "_forward_columns", recording_forward)
-    risk(posterior, teacher, SWEEP_CFG, 100, 10, 0)
-    # the test set is labelled before the pin, and each of the 10 draws runs inside it
-    assert seen == [2] + [1] * 10 and get() == 2
+    seen.clear()
+    mn.population_risk_mc(posterior, teacher, SWEEP_CFG, 100, 10, 0)
+    assert seen[0] == (1, None) and sorted(seen[1:]) == [(1, 2), (1, 4), (1, 4)]
+    assert get() == 2
 
     def failing(*args):
         raise ValueError("boom")
 
     monkeypatch.setattr(mn, "_forward_columns", failing)
     with pytest.raises(ValueError, match="boom"):
-        risk(posterior, teacher, SWEEP_CFG, 100, 10, 0)
+        mn.population_risk_mc(posterior, teacher, SWEEP_CFG, 100, 10, 0)
     assert get() == 2
-    monkeypatch.setattr(mn, "population_risk_mc", failing)
+    # a point that raises on a thread of the sweep's own
+    monkeypatch.setattr(mn, "_forward_columns", forward)
+    monkeypatch.setattr(mn, "teacher_student_posterior", failing)
     with pytest.raises(ValueError, match="boom"):
         sweep()
     assert get() == 2
+
+
+def test_population_risk_mc_draws_dense_weights_on_one_blas_thread(blas_threads):
+    # fig1's network: wide enough that two BLAS threads move the dense draws' last bits
+    cfg = mn.TeacherStudentConfig(m=10, d=4, teacher_depth=2, n_train=30)
+    teacher, train = mn.teacher_student_problem(cfg)
+    a = np.random.default_rng(3).standard_normal((cfg.d * cfg.m**2,) * 2)
+    dense = mg.GaussianDist(np.zeros(len(a)), 0.05 * (a @ a.T / len(a) + np.eye(len(a))))
+    risks = []
+    for count in (1, 2):
+        blas_threads[1](count)
+        risks.append(mn.population_risk_mc(dense, teacher, cfg, 100, 20, 7))
+    assert risks[0] == risks[1]
 
 
 def test_teacher_student_sweep_rows_equal_a_one_blas_thread_run_bit_for_bit():
@@ -657,8 +718,7 @@ def test_guards_reject_invalid_inputs():
 def test_teacher_student_sweep_runs_without_openblas(monkeypatch):
     # a numpy without its bundled OpenBLAS: nothing to pin, the rows are the same
     monkeypatch.setattr(mn, "_openblas", lambda: None)
-    assert mn._set_blas_threads(1) is None
     rows = sweep()
     assert np.isfinite(np.array(rows)).all()
-    assert sweep(workers=2) == rows
-    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(mn, "_usable_cpus", lambda: 1)
+    assert sweep() == rows
