@@ -335,10 +335,14 @@ def cmd_experiment(args):
     else:
         with open(args.out, "w") as fh:
             fh.write(out_text)
-        stem = args.out[: -len(".csv")] if args.out.endswith(".csv") else args.out
-        with open(stem + "_summary.csv", "w") as fh:
+        with open(_summary_path(args.out), "w") as fh:
             fh.write(summary_text)
     return EXIT_OK
+
+
+def _summary_path(out):
+    """Where ``experiment --out out`` writes its summary CSV."""
+    return out.removesuffix(".csv") + "_summary.csv"
 
 
 def cmd_bounds(args):
@@ -422,11 +426,13 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if args.out is not None:
-            existed = os.path.exists(args.out)
-            open(args.out, "a").close()  # an unwritable path fails here, before the work
+        outs = [] if args.out is None else [args.out]
+        outs += [_summary_path(out) for out in outs if args.command == "experiment"]
+        for out in outs:
+            existed = os.path.exists(out)
+            open(out, "a").close()  # an unwritable path fails here, before the work
             if not existed:
-                os.remove(args.out)
+                os.remove(out)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -17,9 +17,9 @@ permutation, which keeps the (k, b) order within each output row a.  So the
 dense Cholesky factor is exactly ``P (I_m (x) L) P'``, and the same standard
 normals give the same weights as :func:`gaussian.sample` on the dense form.
 
-:func:`teacher_student_sweep` estimates the risk over an alpha x sigma1 grid, all
-points on one test set and one weight-noise matrix (common random numbers) and on
-one thread per usable CPU; the results do not depend on the thread count.
+:func:`teacher_student_sweep` estimates the risk over an alpha x sigma1 grid, all points
+on one test set and one weight-noise matrix (common random numbers) and on one thread
+per usable CPU, the module's only threads; the results do not depend on their count.
 """
 
 import contextlib
@@ -320,12 +320,6 @@ class TeacherStudentPosterior:
     def dim(self):
         return self.mean.size
 
-    def sample_layers(self, rng, size=None):
-        """Draws of the layers from the rows of ``rng.standard_normal((size, dim))``, as
-        :func:`sample`: shape (d, m, m) without ``size``, (size, d, m, m) with it."""
-        layers = self.layers_of(rng.standard_normal((1 if size is None else int(size), self.dim)))
-        return layers[0] if size is None else layers
-
     def layers_of(self, noise):
         """The layers, (n, d, m, m), of the weights ``mean + L z`` for each row z of the
         standard-normal ``noise`` (n, dim), L the dense Cholesky factor."""
@@ -387,17 +381,17 @@ def population_risk_mc(posterior, teacher, cfg, n_test, n_weights, seed):
 
     ``np.random.default_rng(seed)`` draws the labelled test set first, then the ``n_weights``
     weight vectors from the rows of one (n_weights, dim) standard-normal matrix in dense
-    order: calls with one seed share both (common random numbers).  OpenBLAS runs on one
-    thread, the forward passes on :func:`_on_threads`.  Returns (estimate, stderr over the draws).
+    order: calls with one seed share both (common random numbers).  The call runs on this
+    thread, OpenBLAS on one thread.  Returns (estimate, stderr over the draws).
     """
     if posterior.dim != cfg.d * cfg.m**2:
         raise DimensionMismatch("posterior dimension does not match the config")
     with _one_blas_thread():
         test, rng = _test_set(teacher, n_test, n_weights, seed)
-        draws = (posterior.sample_layers(rng, n_weights)
+        draws = (posterior.layers_of(rng.standard_normal((n_weights, posterior.dim)))
                  if isinstance(posterior, TeacherStudentPosterior)
                  else sample(posterior, rng, n_weights).reshape(n_weights, cfg.d, cfg.m, cfg.m))
-        return _risk(draws, test, _on_threads)
+        return _risk(draws, test)
 
 
 def _test_set(teacher, n_test, n_weights, seed):
@@ -408,27 +402,21 @@ def _test_set(teacher, n_test, n_weights, seed):
     return _labelled(teacher, n_test, rng), rng
 
 
-def _risk(draws, test, run):
-    """(mean, standard error) of the risks of the draws (n, d, m, m) on the test set;
-    ``run`` runs the forward passes, 4 draws a block, as :func:`_on_threads` does."""
+def _risk(draws, test):
+    """(mean, standard error) of the risks of the draws (n, d, m, m) on the test set, the
+    forward passes in 4-draw blocks on the test inputs stored as columns."""
     if not np.isfinite(draws).all():
         raise ValueError("weights must be finite")
     xs_t, ys_t = (np.array(a.T, order="C") for a in (test.xs, test.ys))
-    scratch = threading.local()  # each thread's (out, buf) pair, reused from block to block
-
-    def block(b):
-        lo, hi = 4 * b, min(4 * b + 4, len(draws))
-        if not hasattr(scratch, "pair"):
-            scratch.pair = np.empty((2, 4, *xs_t.shape))
-        out, buf = scratch.pair[:, : hi - lo]
+    pair, risks = np.empty((2, 4, *xs_t.shape)), []
+    for block in (draws[lo:lo + 4] for lo in range(0, len(draws), 4)):
+        out, buf = pair[:, : len(block)]
         out[...] = xs_t
-        _forward_columns(draws[lo:hi].transpose(1, 0, 2, 3), out, buf)
+        _forward_columns(block.transpose(1, 0, 2, 3), out, buf)
         out -= ys_t
-        return [np.vdot(h, h) / test.n for h in out]
-
-    risks = np.concatenate(run(-(-len(draws) // 4), block))
-    stderr = float(risks.std(ddof=1) / math.sqrt(len(risks))) if len(risks) > 1 else 0.0
-    return float(risks.mean()), stderr
+        risks += [np.vdot(h, h) / test.n for h in out]
+    stderr = float(np.std(risks, ddof=1) / math.sqrt(len(risks))) if len(risks) > 1 else 0.0
+    return float(np.mean(risks)), stderr
 
 
 def _on_threads(n, task):
@@ -474,16 +462,21 @@ def _openblas():
     return None
 
 
+_BLAS_PIN = threading.RLock()
+
+
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Numpy's bundled OpenBLAS, where there is one, on one thread inside the block."""
+    """Numpy's bundled OpenBLAS, where there is one, on one thread inside the block; one
+    thread at a time is inside, so each puts back the count it found."""
     get, set_threads = _openblas() or (lambda: None, lambda n: None)
-    old = get()
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(old)
+    with _BLAS_PIN:
+        old = get()
+        set_threads(1)
+        try:
+            yield
+        finally:
+            set_threads(old)
 
 
 def teacher_student_sweep(cfg, alphas, sigma1s, n_test, n_weights):
@@ -504,7 +497,7 @@ def teacher_student_sweep(cfg, alphas, sigma1s, n_test, n_weights):
 
         def point(i):
             layers = teacher_student_posterior(cfg, train, *grid[i]).layers_of(noise)
-            return (*grid[i], *_risk(layers, test, lambda n, task: [task(b) for b in range(n)]))
+            return (*grid[i], *_risk(layers, test))
 
         return _on_threads(len(grid), point)
 

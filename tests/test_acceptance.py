@@ -356,7 +356,7 @@ def test_criterion_7_experiment_interior_optimum(prior_variance):
             )
 
 
-def test_criterion_8_worker_determinism(tmp_path):
+def test_criterion_8_worker_determinism(tmp_path, monkeypatch):
     with criterion(8, "byte-identical outputs with 1 and 8 workers"):
         cfg = str(CONFIGS / "experiment_smoke.json")
         out1 = tmp_path / "w1.csv"
@@ -376,3 +376,12 @@ def test_criterion_8_worker_determinism(tmp_path):
         out1b = tmp_path / "w1b.csv"
         assert cli.main(["experiment", "--config", cfg, "--out", str(out1b)]) == 0
         assert out1.read_bytes() == out1b.read_bytes()
+        # --workers has no effect; the thread count is the number of usable CPUs
+        for cpus in (1, 8):
+            monkeypatch.setattr(mn, "_usable_cpus", lambda: cpus)
+            out = tmp_path / f"c{cpus}.csv"
+            assert cli.main(["experiment", "--config", cfg, "--out", str(out)]) == 0
+            assert out1.read_bytes() == out.read_bytes()
+            assert (tmp_path / "w1_summary.csv").read_bytes() == (
+                tmp_path / f"c{cpus}_summary.csv"
+            ).read_bytes()

@@ -685,6 +685,23 @@ def test_unwritable_out_prints_one_error_line(tmp_path, capsys, monkeypatch, com
     assert sweeps == []
 
 
+def test_unwritable_experiment_summary_ends_the_sweep_before_it_starts(tmp_path, capsys,
+                                                                        monkeypatch):
+    # a directory where the summary CSV belongs: nothing runs and no rows file is left
+    sweeps = []
+    monkeypatch.setattr(mn, "teacher_student_sweep", lambda *args: sweeps.append(args) or [])
+    summary = tmp_path / "e_summary.csv"
+    summary.mkdir()
+    argv = ["experiment", "--config", str(CONFIGS / "experiment_smoke.json"),
+            "--out", str(tmp_path / "e.csv")]
+    assert run(argv) == cli.EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(summary) in lines[0]
+    assert sweeps == [] and sorted(tmp_path.iterdir()) == [summary]
+
+
 def test_singular_energy_under_max_entropy_prints_one_error_line(tmp_path, capsys):
     cfg = json.loads((CONFIGS / "solve_gaussian_demo.json").read_text())
     cfg["algorithm"] = "max-entropy"

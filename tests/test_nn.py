@@ -341,7 +341,7 @@ def test_teacher_student_posterior_factors_only_reduced_matrices(monkeypatch):
     posterior = mn.teacher_student_posterior(cfg, train, 0.5, 1e-4)
     rng = np.random.default_rng(0)
     for _ in range(3):
-        posterior.sample_layers(rng)
+        posterior.layers_of(rng.standard_normal((1, posterior.dim)))
     reduced_dim = cfg.d * cfg.m
     assert any(n == reduced_dim for _, n in sizes)
     assert [(name, n) for name, n in sizes if n > reduced_dim] == []
@@ -358,21 +358,23 @@ def expand_rows(row_matrix, m):
 def test_row_factored_posterior_draws_equal_dense_draws(m, d, n_train):
     cfg = mn.TeacherStudentConfig(m=m, d=d, teacher_depth=d // 2, n_train=n_train)
     teacher, train, _ = mn.teacher_student_data(cfg, np.random.default_rng(15))
+    dim = d * m * m
     for alpha in (0.0, 0.5, 0.999):
         for sigma1 in (10**-9.5, 1e-6, 10**-2.5):
             posterior = mn.teacher_student_posterior(cfg, train, alpha, sigma1)
             dense = posterior.to_dense()
             at = (alpha, sigma1)
-            assert posterior.dim == dense.dim == d * m * m
+            assert posterior.dim == dense.dim == dim
             assert rel_gap(expand_rows(posterior.row_chol, m), dense.chol) <= REDUCED_RTOL, at
             for k in range(3):
-                layers = posterior.sample_layers(np.random.default_rng(k))
+                layers = posterior.layers_of(np.random.default_rng(k).standard_normal((1, dim)))[0]
                 flat = mg.sample(dense, np.random.default_rng(k))
                 assert layers.shape == (d, m, m)
                 assert rel_gap(layers.reshape(-1), flat) <= REDUCED_RTOL, at
-                one = posterior.sample_layers(np.random.default_rng(k), size=1)
+                # each row of the noise maps alone: the first of two rows gives the same layers
+                one = posterior.layers_of(np.random.default_rng(k).standard_normal((2, dim)))[:1]
                 assert one.shape == (1, d, m, m) and np.array_equal(one[0], layers), at
-            batch = posterior.sample_layers(np.random.default_rng(3), size=5)
+            batch = posterior.layers_of(np.random.default_rng(3).standard_normal((5, dim)))
             flat = mg.sample(dense, np.random.default_rng(3), 5)
             assert batch.shape == (5, d, m, m)
             assert rel_gap(batch.reshape(5, -1), flat) <= REDUCED_RTOL, at
@@ -512,59 +514,48 @@ def test_population_risk_mc_results_do_not_depend_on_the_thread_count(monkeypatc
     dense = mg.GaussianDist(np.zeros(factored.dim), 0.05 * np.eye(factored.dim))
     forward = mn._forward_columns
     caller = threading.current_thread()
-    blocks = []
+    blocks, started = [], []
+    thread = threading.Thread
 
     def recording(layers, h, buf):
         blocks.append((threading.current_thread(), h.shape[0] if h.ndim == 3 else None))
         return forward(layers, h, buf)
 
+    def starting(*args, **kwargs):
+        started.append(None)
+        return thread(*args, **kwargs)
+
     monkeypatch.setattr(mn, "_forward_columns", recording)
+    monkeypatch.setattr(threading, "Thread", starting)
     results = []
     for cpus in (1, 3):
         monkeypatch.setattr(mn, "_usable_cpus", lambda: cpus)
         blocks.clear()
-        risks = [mn.population_risk_mc(p, teacher, SWEEP_CFG, 100, 10, 7)
-                 for p in (dense, factored)]
-        # each call labels its test set here, then runs its 10 draws in blocks of 4, 4
-        # and 2, on this thread alone or on it and two threads of the call's own
-        assert [thread for thread, size in blocks if size is None] == [caller, caller]
-        assert sorted(size for _, size in blocks if size) == [2, 2, 4, 4, 4, 4]
-        others = {thread for thread, _ in blocks} - {caller}
-        assert len(others) <= (0 if cpus == 1 else 4)
-        results.append((risks, sweep()))
-    assert results[0] == results[1]
+        results.append([mn.population_risk_mc(p, teacher, SWEEP_CFG, 100, 10, 7)
+                        for p in (dense, factored)])
+        # each call labels its test set, then runs its 10 draws in blocks of 4, 4 and 2,
+        # all on this thread, whatever the number of usable CPUs
+        assert blocks == [(caller, None), (caller, 4), (caller, 4), (caller, 2)] * 2
+    assert started == [] and results[0] == results[1]
 
 
-def fail_once_off_the_caller(monkeypatch, name, when=lambda *args: True):
-    """Make the first call of ``mn.<name>`` for which ``when`` holds on a thread other
-    than this one raise; such calls on this thread wait until it has.  Returns the
-    fuse, locked once it has blown."""
+def fail_once_off_the_caller(monkeypatch, name):
+    """Make the first call of ``mn.<name>`` on a thread other than this one raise; calls
+    on this thread wait until it has.  Returns the fuse, locked once it has blown."""
     func = getattr(mn, name)
     caller = threading.current_thread()
     fuse, blown = threading.Lock(), threading.Event()
 
     def failing(*args):
-        if when(*args) and threading.current_thread() is caller:
+        if threading.current_thread() is caller:
             blown.wait(timeout=10.0)
-        elif when(*args) and fuse.acquire(blocking=False):
+        elif fuse.acquire(blocking=False):
             blown.set()
             raise FloatingPointError("boom")
         return func(*args)
 
     monkeypatch.setattr(mn, name, failing)
     return fuse
-
-
-def test_an_error_on_a_draw_thread_reaches_the_caller_after_every_thread_ends(monkeypatch):
-    teacher, train = mn.teacher_student_problem(SWEEP_CFG)
-    posterior = mn.teacher_student_posterior(SWEEP_CFG, train, 0.5, 1e-4)
-    monkeypatch.setattr(mn, "_usable_cpus", lambda: 3)
-    # the test set is labelled on this thread first; only the draws' blocks fail or wait
-    fuse = fail_once_off_the_caller(monkeypatch, "_forward_columns", lambda w, h, b: h.ndim == 3)
-    before = threading.active_count()
-    with pytest.raises(FloatingPointError, match="boom"):
-        mn.population_risk_mc(posterior, teacher, SWEEP_CFG, 100, 10, 0)
-    assert fuse.locked() and threading.active_count() == before
 
 
 def test_an_error_on_a_point_thread_reaches_the_caller_after_every_thread_ends(monkeypatch):
@@ -636,6 +627,30 @@ def test_teacher_student_sweep_runs_blas_on_one_thread_and_restores_the_count(
     with pytest.raises(ValueError, match="boom"):
         sweep()
     assert get() == 2
+
+
+def test_overlapping_blas_pins_each_run_on_one_thread_and_restore_the_count(blas_threads):
+    get, set_threads = blas_threads
+    set_threads(2)
+    first_in, second_in, first_out, seen = (*(threading.Event() for _ in range(3)), [])
+
+    def second():
+        # enters while the first block is open and stays until the first has left
+        first_in.wait(timeout=10.0)
+        with mn._one_blas_thread():
+            second_in.set()
+            first_out.wait(timeout=10.0)
+            seen.append(get())
+
+    other = threading.Thread(target=second)
+    other.start()
+    with mn._one_blas_thread():
+        first_in.set()
+        second_in.wait(timeout=0.5)  # times out: the second block waits for this one
+        seen.append(get())
+    first_out.set()
+    other.join()
+    assert seen == [1, 1] and get() == 2
 
 
 def test_population_risk_mc_draws_dense_weights_on_one_blas_thread(blas_threads):
