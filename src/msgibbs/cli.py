@@ -65,6 +65,13 @@ def _config_phase(path="$"):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _known(cfg, keys, path="$"):
+    """Reject a key of the object ``cfg`` that is not in ``keys``: no command reads it."""
+    unknown = sorted(set(cfg) - set(keys)) if isinstance(cfg, dict) else []
+    if unknown:
+        raise ConfigError(f"{path}.{unknown[0]}: unknown key")
+
+
 def _require(cfg, key, path="$"):
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: must be an object, got {cfg!r}")
@@ -119,6 +126,9 @@ def _csv_line(*values):
     return ",".join(f"{x:.9g}" for x in values)
 
 
+SCHEDULE_KEYS = ("sigma", "alpha", "sigma1", "d", "lambda")
+
+
 def _schedule_from(cfg, path="$"):
     """The schedule of ``sigma`` or of ``alpha``, ``sigma1`` and ``d``, with ``lambda``."""
     if "sigma" in cfg and "alpha" in cfg:
@@ -138,6 +148,7 @@ def _schedule_from(cfg, path="$"):
 
 def cmd_solve_tabular(args):
     cfg = _load_config(args.config)
+    _known(cfg, ("axis_sizes", "energy", "algorithm", "chain", "reference", *SCHEDULE_KEYS))
     with _config_phase():
         space = mt.ProductSpace(_sizes(_require(cfg, "axis_sizes"), "$.axis_sizes"))
         with _config_phase("$.energy"):
@@ -185,6 +196,7 @@ def cmd_solve_tabular(args):
 
 def cmd_solve_gaussian(args):
     cfg = _load_config(args.config)
+    _known(cfg, ("prior", "energy", "algorithm", *SCHEDULE_KEYS))
     with _config_phase():
         prior_cfg = _require(cfg, "prior")
         block_sizes = _require(prior_cfg, "block_sizes", "$.prior")
@@ -208,13 +220,17 @@ def cmd_solve_gaussian(args):
         sched = _schedule_from(cfg)
         ms.check_depth(backend, sched.depth)
 
+    # the trace holds every dense intermediate, and only the verification reads it
     if algorithm == "max-entropy":
-        solution, trace = ms.solve_max_entropy(energy, sched, backend, with_trace=True)
+        solved = ms.solve_max_entropy(energy, sched, backend, with_trace=args.verify)
+    else:
+        solved = ms.solve_min_relative_entropy(
+            energy, prior, sched, backend, with_trace=args.verify
+        )
+    solution, trace = solved if args.verify else (solved, None)
+    if algorithm == "max-entropy":
         objective = ms.max_entropy_objective(solution, energy, sched, partition)
     else:
-        solution, trace = ms.solve_min_relative_entropy(
-            energy, prior, sched, backend, with_trace=True
-        )
         objective = ms.min_relative_entropy_objective(solution, energy, prior, sched, partition)
 
     report = {"solution": solution.to_json(partition), "objective": objective}
@@ -277,6 +293,7 @@ def _scale_map(cfg, path):
 
 
 def _resolve_experiment(cfg, seed_override):
+    _known(cfg, _EXPERIMENT_DEFAULTS)
     resolved = {**_EXPERIMENT_DEFAULTS, **cfg}
     if seed_override is not None:
         resolved["seed"] = int(seed_override)
@@ -294,6 +311,7 @@ def _resolve_experiment(cfg, seed_override):
         raise ConfigError("$.alpha_grid: alphas must be in [0, 0.999]")
     sg = resolved["sigma1_grid"]
     if isinstance(sg, dict):
+        _known(sg, ("log10_min", "log10_max", "points"), "$.sigma1_grid")
         lo = _number(_require(sg, "log10_min", "$.sigma1_grid"), "$.sigma1_grid.log10_min")
         hi = _number(_require(sg, "log10_max", "$.sigma1_grid"), "$.sigma1_grid.log10_max")
         pts = _integral(sg.get("points", 29), "$.sigma1_grid.points")
@@ -347,6 +365,8 @@ def _summary_path(out):
 
 def cmd_bounds(args):
     cfg = _load_config(args.config)
+    _known(cfg, ("kind", "R", "n", "d", "log_inv_q", "teacher_student", "qhat", "prior",
+                 "block_sizes"))
     with _config_phase():
         kind = _require(cfg, "kind")
         bc = mb.BoundConfig(

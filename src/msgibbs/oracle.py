@@ -4,15 +4,13 @@
 the finest scale up: one logsumexp per fiber per scale (the single-scale Gibbs
 variational principle applied once per scale), reading each scale's map inside the
 loop and composing the maps one at a time, so that one joint-index map is alive at a
-time and nothing is left on the caller's maps: about 0.1 s and a 26.5 MiB tracemalloc
-peak at 2^19 states with d = 19 on a 2-core box.  ``solve-tabular --verify`` checks
+time and nothing is left on the caller's maps.  ``solve-tabular --verify`` checks
 against it.
 ``minimize_tabular`` runs exponentiated-gradient mirror descent on the
 probability simplex (at most 4096 states); both supported objectives are convex
 in the joint table, so the iterate converges to the global optimum, slowly where
-the schedule's scales differ by many orders.  It checks the exact oracle in the
-tests, on energies without near ties (at small sigma_1 it falls short of 1e-4 in
-total variation on continuous ones; see its docstring).
+the schedule's scales differ by many orders.  Its step and its ascent slack follow
+from the objective; it checks the exact oracle in the tests.
 ``quadrature_density_moments`` integrates a log-density on a 1-D or 2-D trapezoid
 grid to validate the Gaussian closed forms.
 """
@@ -54,11 +52,11 @@ def minimize_tabular(objective, f, q, sched, chain):
     w_i = lam * sigma_i; ``"max-entropy"`` (lam * E[f] - multiscale H) has a = lam,
     w_i = sigma_i and log q_i = 0, a reference that carries no information.  ``q`` is
     ignored for the entropy objective and must be strictly positive otherwise.
-    Deterministic: fixed uniform start and iteration order.  Its fixed step moves a
-    near tie by exp(-step * gap) per iteration, so at small sigma_1 it can miss the
-    optimum on continuous energies: decimation (3, 4) with energies U(-2, 2) at
-    ``alpha_schedule(0, 10**-2.5, 2)`` stops about 1.5e-4 in total variation from
-    :func:`exact_tabular`, and 4^6 at sigma_1 <= 1.8e-8 raises ``NonConvergence``.
+    Deterministic: fixed uniform start and iteration order.  The first step is
+    1 / sum_i w_i, which solves a single scale exactly.  A proposal is an ascent, and
+    halves the step, if its value rises by more than n eps times the sum of the value's
+    term magnitudes (n states, eps the machine epsilon): the rounding bound of that sum.
+    Each proposal is normalized from its largest entry, which stays exact.
     """
     if objective not in ("min-relative-entropy", "max-entropy"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -90,23 +88,28 @@ def minimize_tabular(objective, f, q, sched, chain):
         log_q = [log_marginal(q.probs, i)[1] for i in range(sched.depth)]
 
     def objective_and_grad(log_p):
+        # the value, the sum of its terms' magnitudes (its rounding scale), the gradient
         p = np.exp(log_p)
         value, grad = a * float(p @ f.values), a * f.values
+        magnitude = a * float(p @ abs(f.values))
         for i in active:
             marg, log_ratio = log_marginal(p, i)
             log_ratio -= log_q[i]
             value += weights[i] * float(marg @ log_ratio)
+            magnitude += weights[i] * float(marg @ abs(log_ratio))
             grad += (weights[i] * (log_ratio + 1.0))[comps[i]]
-        return value, grad
+        return value, magnitude, grad
 
     log_p = np.full(space.size, -math.log(space.size))
-    step = TOL.oracle_step_size
-    prev_value, grad = objective_and_grad(log_p)
+    step = 1.0 / float(weights.sum())
+    rounding = space.size * np.finfo(float).eps
+    prev_value, prev_magnitude, grad = objective_and_grad(log_p)
     for iteration in range(TOL.oracle_max_iterations):
         proposal = log_p - step * grad
-        proposal -= _logsumexp(proposal)
-        value, new_grad = objective_and_grad(proposal)
-        if value > prev_value + TOL.oracle_ascent_slack:
+        proposal -= proposal.max()
+        proposal -= math.log(np.exp(proposal).sum())
+        value, magnitude, new_grad = objective_and_grad(proposal)
+        if value > prev_value + rounding * max(prev_magnitude, magnitude):
             # deterministic safeguard: shrink the step and retry from log_p
             step *= 0.5
             if step < TOL.oracle_step_floor:
@@ -116,7 +119,7 @@ def minimize_tabular(objective, f, q, sched, chain):
                 )
             continue
         converged = prev_value - value < TOL.oracle_convergence
-        log_p, grad, prev_value = proposal, new_grad, value
+        log_p, grad, prev_value, prev_magnitude = proposal, new_grad, value, magnitude
         if converged:
             return mt.TabularDist.from_weights(space, np.exp(log_p))
     raise NonConvergence(
@@ -168,19 +171,15 @@ def exact_tabular(objective, f, q, sched, chain):
             peak = np.full(size, -np.inf)
             np.maximum.at(peak, mapping, u)
             peak[peak == -np.inf] = 0.0  # a fiber with no finite entry sums to 0 below
-            lse = np.log(np.bincount(mapping, weights=np.exp(u - peak[mapping]), minlength=size))
-            lse += peak
+            u -= peak[mapping]  # each fiber's peak is 0: its conditional keeps every digit
+            lse = np.log(np.bincount(mapping, weights=np.exp(u), minlength=size))
             cond = np.subtract(u, lse[mapping], out=np.full(u.size, -np.inf), where=u > -np.inf)
+            lse += peak
             log_p += cond[comp]
             if i + 1 < len(sizes):
                 u = (partial[i] / partial[i + 1]) * lse
                 comp = mapping[comp]
     return sign * w * partial[-1] * float(lse[0]), log_p
-
-
-def _logsumexp(v):
-    peak = v.max()
-    return peak + math.log(np.exp(v - peak).sum())
 
 
 @dataclass(frozen=True)

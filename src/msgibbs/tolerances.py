@@ -24,13 +24,11 @@ class Tolerances:
     # minus the floor are accepted as rounding and K is kept as given
     energy_symmetry: float = 1e-8
     energy_eigenvalue_floor: float = 1e-8
-    # simplex oracle: first step, convergence (objective decrease) and iteration cap;
-    # an objective rise up to the slack is not an ascent; marginals are floored
-    # before logs; halving the step below its floor is a collapse
-    oracle_step_size: float = 0.1
+    # simplex oracle: convergence (objective decrease) and iteration cap; marginals are
+    # floored before logs; halving the step below its floor is a collapse (its first
+    # step and its ascent slack follow from the objective: see minimize_tabular)
     oracle_convergence: float = 1e-13
     oracle_max_iterations: int = 50_000
-    oracle_ascent_slack: float = 1e-15
     oracle_log_floor: float = 1e-300
     oracle_step_floor: float = 1e-8
     # layer spectral norms may exceed the 1/d budget by this

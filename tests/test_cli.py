@@ -667,6 +667,55 @@ def test_lambda_applies_to_an_alpha_schedule(tmp_path, command, config_name):
 
 
 @pytest.mark.parametrize(
+    "command, config_name, change, key_path",
+    [
+        ("solve-tabular", "solve_tabular_binary3.json", {"lamda": 2.0}, "$.lamda"),
+        ("solve-gaussian", "solve_gaussian_demo.json", {"sigma_1": 1.0}, "$.sigma_1"),
+        ("experiment", "experiment_smoke.json", {"n_weight": 3}, "$.n_weight"),
+        ("experiment", "experiment_smoke.json",
+         {"sigma1_grid": {"log10_min": -6.0, "log10_max": -3.0, "point": 3}},
+         "$.sigma1_grid.point"),
+        ("bounds", "bounds_teacher_student.json", {"log_inv_q1": 0.0}, "$.log_inv_q1"),
+    ],
+)
+def test_a_key_no_command_reads_is_a_config_error(tmp_path, capsys, monkeypatch, command,
+                                                  config_name, change, key_path):
+    # a misspelt key would otherwise leave its default in place; nothing runs
+    sweeps = []
+    monkeypatch.setattr(mn, "teacher_student_sweep", lambda *args: sweeps.append(args) or [])
+    cfg = {**json.loads((CONFIGS / config_name).read_text()), **change}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run([command, "--config", str(path), "--out", str(out)]) == cli.EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {key_path}: unknown key\n"
+    assert sweeps == [] and not out.exists()
+
+
+@pytest.mark.parametrize("name", ["solve_gaussian_max_entropy", "solve_gaussian_min_rel_entropy"])
+def test_solve_gaussian_without_verify_solves_untraced(tmp_path, monkeypatch, name):
+    # the trace holds every dense intermediate, and only the verification reads it
+    with_trace = []
+    for solver in ("solve_max_entropy", "solve_min_relative_entropy"):
+        def spy(*args, solve=getattr(ms, solver), **kwargs):
+            with_trace.append(kwargs["with_trace"])
+            return solve(*args, **kwargs)
+        monkeypatch.setattr(ms, solver, spy)
+    reports = []
+    for flag in ("--no-verify", "--verify"):
+        out = tmp_path / "out.json"
+        argv = ["solve-gaussian", flag, "--config", str(GOLDEN / f"{name}.config.json")]
+        assert run(argv + ["--out", str(out)]) == cli.EXIT_OK
+        reports.append(json.loads(out.read_text()))
+    assert with_trace == [False, True]
+    for key in ("solution", "objective"):
+        assert reports[0][key] == reports[1][key]
+    assert "verified" not in reports[0]
+
+
+@pytest.mark.parametrize(
     "command, config_name",
     [("solve-tabular", "solve_tabular_binary3.json"), ("experiment", "experiment_smoke.json")],
 )

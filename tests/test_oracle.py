@@ -11,6 +11,7 @@ from msgibbs import multiscale as ms
 from msgibbs import oracle as mo
 from msgibbs import tabular as mt
 from msgibbs.errors import MassLeakage, NonConvergence, NumericalGuard, SpaceMismatch
+from msgibbs.tolerances import TOL
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -160,17 +161,41 @@ def test_quadrature_mass_leakage():
         mo.quadrature_density_moments(log_density, [-3.0], [3.0])
 
 
+def continuous_4_6():
+    """Energies U(-2, 2) and a reference U(0.05, 1) on 4^6 states, and its decimation chain."""
+    rng = np.random.default_rng(0)
+    space = mt.ProductSpace((4,) * 6)
+    f = mt.EnergyTable(space, rng.uniform(-2.0, 2.0, space.size))
+    return f, random_dist(space, rng), ms.TabularBackend.decimation(space, 6).chain
+
+
 def test_step_size_collapse_is_reported():
-    # energies of order 1e7 make every step an ascent until the step collapses
-    space = mt.ProductSpace((4, 4))
-    rng = np.random.default_rng(1)
-    f = mt.EnergyTable(space, 1e7 * rng.standard_normal(space.size))
-    sched = ms.TemperatureSchedule(1e7, (1.0, 0.5))
-    chain = [mt.ScaleMap.decimation(space)]
+    # lam * sum(sigma) = 3.2e4: the relative entropies' rounding, which the ascent slack's
+    # |log p - log q| does not count, rises until the step halves below its floor
+    f, q, chain = continuous_4_6()
+    sched = ms.TemperatureSchedule(1e3, ms.alpha_schedule(0.5, 1.0, 6).sigma)
     with pytest.raises(NonConvergence, match=r"step size collapsed .* at iteration \d+"):
-        mo.minimize_tabular(
-            "min-relative-entropy", f, mt.TabularDist.uniform(space), sched, chain
-        )
+        mo.minimize_tabular("min-relative-entropy", f, q, sched, chain)
+
+
+SMALL_SIGMA1_CASES = [
+    (alpha, sigma1, kind)
+    for alpha, sigma1 in [(0.0, 1e-3), (0.5, 1e-3), (0.0, 1e-6), (0.9, 1e-6), (0.0, 1e-8),
+                          (0.5, 1e-8), (0.9, 1e-8)]
+    for kind in ("max-entropy", "min-relative-entropy")
+] + [(0.5, 1e-6, "max-entropy")]
+
+
+@pytest.mark.parametrize("alpha, sigma1, kind", SMALL_SIGMA1_CASES)
+def test_mirror_descent_reaches_the_exact_optimum_on_continuous_energies(alpha, sigma1, kind):
+    # near ties and tiny objective scales at small sigma_1; both oracles keep the digits
+    # of log p near 0, so the exact one sums to 1 within TOL.normalization
+    f, q, chain = continuous_4_6()
+    sched = ms.alpha_schedule(alpha, sigma1, 6)
+    _, log_p = mo.exact_tabular(kind, f, q, sched, chain)
+    exact = mt.TabularDist(f.space, np.exp(log_p))
+    descent = mo.minimize_tabular(kind, f, q, sched, chain)
+    assert mt.total_variation(exact, descent) <= TOL.oracle_agreement_tv
 
 
 def test_chain_on_the_wrong_space_is_rejected():
