@@ -356,8 +356,12 @@ def sample(g, rng, size=None):
     if size is None:
         z = rng.standard_normal(g.dim)
         return g.mean + g.chol @ z
-    z = rng.standard_normal((int(size), g.dim))
-    return g.mean + z @ g.chol.T
+    return draws_of(g, rng.standard_normal((int(size), g.dim)))
+
+
+def draws_of(g, noise):
+    """The draws ``mean + C z``, C the Cholesky factor, for the rows z of ``noise`` (n, dim)."""
+    return g.mean + noise @ g.chol.T
 
 
 def gibbs_gaussian(energy, prior, beta):

@@ -20,6 +20,7 @@ normals give the same weights as :func:`gaussian.sample` on the dense form.
 :func:`teacher_student_sweep` estimates the risk over an alpha x sigma1 grid, all points
 on one test set and one weight-noise matrix (common random numbers) and on one thread
 per usable CPU, the module's only threads; the results do not depend on their count.
+Each thread holds one 4-draw block's weights and buffers at a time.
 """
 
 import contextlib
@@ -40,8 +41,9 @@ from .gaussian import (
     QuadraticEnergy,
     _cholesky_pd,
     _symmetrize,
+    draws_of,
     gibbs_gaussian,
-    sample,
+    sample,  # unused here; bench/tests checks that its tracer wraps this binding
 )
 from .multiscale import GaussianBackend, alpha_schedule, solve_mt
 from .tolerances import TOL
@@ -382,39 +384,43 @@ def population_risk_mc(posterior, teacher, cfg, n_test, n_weights, seed):
     ``np.random.default_rng(seed)`` draws the labelled test set first, then the ``n_weights``
     weight vectors from the rows of one (n_weights, dim) standard-normal matrix in dense
     order: calls with one seed share both (common random numbers).  The call runs on this
-    thread, OpenBLAS on one thread.  Returns (estimate, stderr over the draws).
+    thread, OpenBLAS on one thread, and holds that matrix and one 4-draw block at a time.
+    Returns (estimate, stderr over the draws).
     """
     if posterior.dim != cfg.d * cfg.m**2:
         raise DimensionMismatch("posterior dimension does not match the config")
+    layers_of = (posterior.layers_of if isinstance(posterior, TeacherStudentPosterior)
+                 else lambda z: draws_of(posterior, z).reshape(len(z), cfg.d, cfg.m, cfg.m))
     with _one_blas_thread():
         test, rng = _test_set(teacher, n_test, n_weights, seed)
-        draws = (posterior.layers_of(rng.standard_normal((n_weights, posterior.dim)))
-                 if isinstance(posterior, TeacherStudentPosterior)
-                 else sample(posterior, rng, n_weights).reshape(n_weights, cfg.d, cfg.m, cfg.m))
-        return _risk(draws, test)
+        return _risk(layers_of, rng.standard_normal((n_weights, posterior.dim)), test)
 
 
 def _test_set(teacher, n_test, n_weights, seed):
-    """The labelled test set, drawn first from ``np.random.default_rng(seed)``, and that rng."""
+    """The labelled test set, drawn first from ``np.random.default_rng(seed)``, as its inputs
+    and targets stored as columns, (m, n_test) each, and that rng."""
     if n_test < 1 or n_weights < 1:
         raise ValueError(f"need n_test >= 1 and n_weights >= 1, got {n_test} and {n_weights}")
     rng = np.random.default_rng(seed)
-    return _labelled(teacher, n_test, rng), rng
+    test = _labelled(teacher, n_test, rng)
+    return tuple(np.array(a.T, order="C") for a in (test.xs, test.ys)), rng
 
 
-def _risk(draws, test):
-    """(mean, standard error) of the risks of the draws (n, d, m, m) on the test set, the
-    forward passes in 4-draw blocks on the test inputs stored as columns."""
-    if not np.isfinite(draws).all():
-        raise ValueError("weights must be finite")
-    xs_t, ys_t = (np.array(a.T, order="C") for a in (test.xs, test.ys))
+def _risk(layers_of, noise, test):
+    """(mean, standard error) of the risks on the test columns (inputs, targets) of the
+    weights ``layers_of(z)``, (n, d, m, m), made for each 4-row block z of the noise just
+    before its forward passes."""
+    xs_t, ys_t = test
     pair, risks = np.empty((2, 4, *xs_t.shape)), []
-    for block in (draws[lo:lo + 4] for lo in range(0, len(draws), 4)):
+    for lo in range(0, len(noise), 4):
+        block = layers_of(noise[lo:lo + 4])
+        if not np.isfinite(block).all():
+            raise ValueError("weights must be finite")
         out, buf = pair[:, : len(block)]
         out[...] = xs_t
         _forward_columns(block.transpose(1, 0, 2, 3), out, buf)
         out -= ys_t
-        risks += [np.vdot(h, h) / test.n for h in out]
+        risks += [np.vdot(h, h) / xs_t.shape[1] for h in out]
     stderr = float(np.std(risks, ddof=1) / math.sqrt(len(risks))) if len(risks) > 1 else 0.0
     return float(np.mean(risks)), stderr
 
@@ -485,8 +491,9 @@ def teacher_student_sweep(cfg, alphas, sigma1s, n_test, n_weights):
 
     All points share one test set and one weight-noise matrix, drawn once from
     ``SeedSequence(cfg.seed, spawn_key=(1,))`` (common random numbers).  They run on
-    :func:`_on_threads`, each one's draws in series.  OpenBLAS runs on one thread for
-    the whole call, as its thread count moves the rows' last bits, and is then reset.
+    :func:`_on_threads`, each one's draws in series, one 4-draw block at a time.  OpenBLAS
+    runs on one thread for the whole call, as its thread count moves the rows' last bits,
+    and is then reset.
     """
     with _one_blas_thread():
         teacher, train = teacher_student_problem(cfg)
@@ -496,8 +503,8 @@ def teacher_student_sweep(cfg, alphas, sigma1s, n_test, n_weights):
         noise = rng.standard_normal((n_weights, cfg.d * cfg.m**2))
 
         def point(i):
-            layers = teacher_student_posterior(cfg, train, *grid[i]).layers_of(noise)
-            return (*grid[i], *_risk(layers, test))
+            posterior = teacher_student_posterior(cfg, train, *grid[i])
+            return (*grid[i], *_risk(posterior.layers_of, noise, test))
 
         return _on_threads(len(grid), point)
 

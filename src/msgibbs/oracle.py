@@ -55,7 +55,8 @@ def minimize_tabular(objective, f, q, sched, chain):
     Deterministic: fixed uniform start and iteration order.  The first step is
     1 / sum_i w_i, which solves a single scale exactly.  A proposal is an ascent, and
     halves the step, if its value rises by more than n eps times the sum of the value's
-    term magnitudes (n states, eps the machine epsilon): the rounding bound of that sum.
+    term magnitudes, ``|log p_i| + |log q_i|`` for each log ratio (n states, eps the machine
+    epsilon): the rounding bound of that sum.
     Each proposal is normalized from its largest entry, which stays exact.
     """
     if objective not in ("min-relative-entropy", "max-entropy"):
@@ -93,10 +94,11 @@ def minimize_tabular(objective, f, q, sched, chain):
         value, grad = a * float(p @ f.values), a * f.values
         magnitude = a * float(p @ abs(f.values))
         for i in active:
-            marg, log_ratio = log_marginal(p, i)
-            log_ratio -= log_q[i]
+            marg, log_marg = log_marginal(p, i)
+            log_ratio = log_marg - log_q[i]
             value += weights[i] * float(marg @ log_ratio)
-            magnitude += weights[i] * float(marg @ abs(log_ratio))
+            # each log rounds on its own scale: count both, not their difference
+            magnitude += weights[i] * float(marg @ (abs(log_marg) + abs(log_q[i])))
             grad += (weights[i] * (log_ratio + 1.0))[comps[i]]
         return value, magnitude, grad
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -681,6 +682,30 @@ def test_teacher_student_sweep_rows_equal_a_one_blas_thread_run_bit_for_bit():
     cfg = mn.TeacherStudentConfig(m=10, d=4, teacher_depth=2, n_train=30)
     rows = mn.teacher_student_sweep(cfg, [0.0, 0.5], [1e-6, 1e-4, 1e-3], 2000, 20)
     assert repr(rows) + "\n" == pinned
+
+
+def test_sweep_memory_grows_with_the_draws_by_the_shared_noise_alone(monkeypatch):
+    # fig1's network on two point threads: each thread holds one 4-draw block's weights
+    # and buffers at a time, so 10x the draws adds only the noise matrix's growth
+    monkeypatch.setattr(mn, "_usable_cpus", lambda: 2)
+    cfg = mn.TeacherStudentConfig(m=10, d=4, teacher_depth=2, n_train=30)
+
+    def run(n_weights):
+        return mn.teacher_student_sweep(cfg, [0.0, 0.5], [1e-6, 1e-4], 200, n_weights)
+
+    run(40)  # first-call allocations stay out of the comparison
+    peaks = []
+    for n_weights in (40, 400):
+        tracemalloc.start()
+        try:
+            run(n_weights)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    noise_growth = (400 - 40) * cfg.d * cfg.m**2 * 8
+    # the slack covers the risk lists and one thread's 128 KiB of block buffers; a copy of
+    # every draw's weights per thread would add 2.3 MB
+    assert peaks[1] - peaks[0] <= noise_growth + 128 * 1024
 
 
 def test_min_risk_per_alpha_keeps_the_first_of_tied_minima():

@@ -169,13 +169,27 @@ def continuous_4_6():
     return f, random_dist(space, rng), ms.TabularBackend.decimation(space, 6).chain
 
 
-def test_step_size_collapse_is_reported():
-    # lam * sum(sigma) = 3.2e4: the relative entropies' rounding, which the ascent slack's
-    # |log p - log q| does not count, rises until the step halves below its floor
+def test_step_size_collapse_is_reported(monkeypatch):
+    # the step 1 / sum(w) never ascends on the true objective; a log floor of 0.1 puts a
+    # kink into every marginal's log that the gradient does not see, so proposals rise
+    # for real and the step halves below its floor
+    monkeypatch.setattr(mo, "TOL", dataclasses.replace(mo.TOL, oracle_log_floor=0.1))
     f, q, chain = continuous_4_6()
-    sched = ms.TemperatureSchedule(1e3, ms.alpha_schedule(0.5, 1.0, 6).sigma)
+    sched = ms.alpha_schedule(0.5, 1.0, 6)
     with pytest.raises(NonConvergence, match=r"step size collapsed .* at iteration \d+"):
         mo.minimize_tabular("min-relative-entropy", f, q, sched, chain)
+
+
+@pytest.mark.parametrize("lam, alpha, sigma1", [(1e3, 0.5, 1.0), (1e7, 0.0, 1.0), (1e7, 0.5, 1e-3)])
+def test_mirror_descent_converges_at_large_lambda(lam, alpha, sigma1):
+    # lam * sum(sigma) from 3.2e4 to 1e7: the value's rounding scales with |log p| + |log q|,
+    # not with |log p - log q|, and the ascent slack counts both logs
+    f, q, chain = continuous_4_6()
+    sched = ms.TemperatureSchedule(lam, ms.alpha_schedule(alpha, sigma1, 6).sigma)
+    _, log_p = mo.exact_tabular("min-relative-entropy", f, q, sched, chain)
+    exact = mt.TabularDist(f.space, np.exp(log_p))
+    descent = mo.minimize_tabular("min-relative-entropy", f, q, sched, chain)
+    assert mt.total_variation(exact, descent) <= TOL.oracle_agreement_tv
 
 
 SMALL_SIGMA1_CASES = [
