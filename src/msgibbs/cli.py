@@ -146,6 +146,29 @@ def _schedule_from(cfg, path="$"):
     return ms.TemperatureSchedule(_number(cfg.get("lambda", 1.0), f"{path}.lambda"), sigma)
 
 
+# each algorithm's oracle objective; 'mt' (solve_mt from the initial Gibbs) is min-rel-entropy
+_OBJECTIVES = {"max-entropy": "max-entropy", "min-rel-entropy": "min-relative-entropy",
+               "mt": "min-relative-entropy"}
+
+
+def _objective(algorithm):
+    if not isinstance(algorithm, str) or algorithm not in _OBJECTIVES:
+        raise ConfigError(f"$.algorithm: unknown {algorithm!r}")
+    return _OBJECTIVES[algorithm]
+
+
+def _solve(objective, energy, reference, sched, backend, scales, with_trace=False):
+    """``(solution, objective value, trace or None)`` of the named objective's solve."""
+    if objective == "max-entropy":
+        solve, score, given = ms.solve_max_entropy, ms.max_entropy_objective, (energy,)
+    else:
+        solve, score = ms.solve_min_relative_entropy, ms.min_relative_entropy_objective
+        given = (energy, reference)
+    solved = solve(*given, sched, backend, with_trace=with_trace)
+    solution, trace = solved if with_trace else (solved, None)
+    return solution, score(solution, *given, sched, scales), trace
+
+
 def cmd_solve_tabular(args):
     cfg = _load_config(args.config)
     _known(cfg, ("axis_sizes", "energy", "algorithm", "chain", "reference", *SCHEDULE_KEYS))
@@ -153,9 +176,7 @@ def cmd_solve_tabular(args):
         space = mt.ProductSpace(_sizes(_require(cfg, "axis_sizes"), "$.axis_sizes"))
         with _config_phase("$.energy"):
             energy = mt.EnergyTable(space, _require(cfg, "energy"))
-        algorithm = _require(cfg, "algorithm")
-        if algorithm not in ("max-entropy", "min-rel-entropy", "mt"):
-            raise ConfigError(f"$.algorithm: unknown {algorithm!r}")
+        objective = _objective(_require(cfg, "algorithm"))
         sched = _schedule_from(cfg)
         chain_cfg = cfg.get("chain", "decimation")
         if chain_cfg == "decimation":
@@ -167,25 +188,14 @@ def cmd_solve_tabular(args):
             raise ConfigError(f"$.chain: must be 'decimation' or a list, got {chain_cfg!r}")
         ms.check_depth(backend, sched.depth)
         reference = None
-        if algorithm in ("min-rel-entropy", "mt"):
+        if objective == "min-relative-entropy":
             with _config_phase("$.reference"):
                 reference = mt.TabularDist(space, _require(cfg, "reference"))
 
-    if algorithm == "max-entropy":
-        solution = ms.solve_max_entropy(energy, sched, backend)
-        objective = ms.max_entropy_objective(solution, energy, sched, backend.chain)
-        oracle_kind = "max-entropy"
-    else:
-        # 'mt' (solve_mt from the initial Gibbs) and min-rel-entropy are the same solve
-        solution = ms.solve_min_relative_entropy(energy, reference, sched, backend)
-        objective = ms.min_relative_entropy_objective(
-            solution, energy, reference, sched, backend.chain
-        )
-        oracle_kind = "min-relative-entropy"
-
-    report = {"solution": solution.to_json(), "objective": objective}
+    solution, value, _ = _solve(objective, energy, reference, sched, backend, backend.chain)
+    report = {"solution": solution.to_json(), "objective": value}
     if args.verify:
-        _, log_p = mo.exact_tabular(oracle_kind, energy, reference, sched, backend.chain)
+        _, log_p = mo.exact_tabular(objective, energy, reference, sched, backend.chain)
         oracle_dist = mt.TabularDist.from_weights(space, np.exp(log_p))
         tv = mt.total_variation(solution, oracle_dist)
         report["oracle"] = oracle_dist.to_json()
@@ -214,26 +224,14 @@ def cmd_solve_gaussian(args):
                 energy_cfg.get("g", np.zeros(dim)),
                 _number(energy_cfg.get("c", 0.0), "$.energy.c"),
             )
-        algorithm = cfg.get("algorithm", "mt")
-        if algorithm not in ("max-entropy", "min-rel-entropy", "mt"):
-            raise ConfigError(f"$.algorithm: unknown {algorithm!r}")
+        objective = _objective(cfg.get("algorithm", "mt"))
         sched = _schedule_from(cfg)
         ms.check_depth(backend, sched.depth)
 
     # the trace holds every dense intermediate, and only the verification reads it
-    if algorithm == "max-entropy":
-        solved = ms.solve_max_entropy(energy, sched, backend, with_trace=args.verify)
-    else:
-        solved = ms.solve_min_relative_entropy(
-            energy, prior, sched, backend, with_trace=args.verify
-        )
-    solution, trace = solved if args.verify else (solved, None)
-    if algorithm == "max-entropy":
-        objective = ms.max_entropy_objective(solution, energy, sched, partition)
-    else:
-        objective = ms.min_relative_entropy_objective(solution, energy, prior, sched, partition)
-
-    report = {"solution": solution.to_json(partition), "objective": objective}
+    solution, value, trace = _solve(objective, energy, prior, sched, backend, partition,
+                                    with_trace=args.verify)
+    report = {"solution": solution.to_json(partition), "objective": value}
     if args.verify:
         worst = ms.gaussian_refinement_gap(solution, trace, partition)
         report["refinement_consistency"] = worst
@@ -444,8 +442,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         outs = [] if args.out is None else [args.out]
         outs += [_summary_path(out) for out in outs if args.command == "experiment"]
         for out in outs:
@@ -454,11 +452,11 @@ def main(argv=None):
             if not existed:
                 os.remove(out)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    except SystemExit as exc:  # argparse's: 2 on a usage error, 0 after --help or --version
+        return EXIT_ERROR if exc.code else EXIT_OK
     except (MsgibbsError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        kind = "config error" if isinstance(exc, ConfigError) else "error"
+        print(f"{kind}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

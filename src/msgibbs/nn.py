@@ -392,21 +392,22 @@ def population_risk_mc(posterior, teacher, cfg, n_test, n_weights, seed):
     layers_of = (posterior.layers_of if isinstance(posterior, TeacherStudentPosterior)
                  else lambda z: draws_of(posterior, z).reshape(len(z), cfg.d, cfg.m, cfg.m))
     with _one_blas_thread():
-        test, rng = _test_set(teacher, n_test, n_weights, seed)
-        return _risk(layers_of, rng.standard_normal((n_weights, posterior.dim)), test)
+        return _risk(layers_of, *_common_draws(teacher, n_test, n_weights, posterior.dim, seed))
 
 
-def _test_set(teacher, n_test, n_weights, seed):
-    """The labelled test set, drawn first from ``np.random.default_rng(seed)``, as its inputs
-    and targets stored as columns, (m, n_test) each, and that rng."""
+def _common_draws(teacher, n_test, n_weights, dim, seed):
+    """The draws of ``np.random.default_rng(seed)`` in their one order: the labelled test set,
+    as its inputs and targets stored as columns, (m, n_test) each, then the (n_weights, dim)
+    standard-normal weight-noise matrix."""
     if n_test < 1 or n_weights < 1:
         raise ValueError(f"need n_test >= 1 and n_weights >= 1, got {n_test} and {n_weights}")
     rng = np.random.default_rng(seed)
     test = _labelled(teacher, n_test, rng)
-    return tuple(np.array(a.T, order="C") for a in (test.xs, test.ys)), rng
+    columns = tuple(np.array(a.T, order="C") for a in (test.xs, test.ys))
+    return columns, rng.standard_normal((n_weights, dim))
 
 
-def _risk(layers_of, noise, test):
+def _risk(layers_of, test, noise):
     """(mean, standard error) of the risks on the test columns (inputs, targets) of the
     weights ``layers_of(z)``, (n, d, m, m), made for each 4-row block z of the noise just
     before its forward passes."""
@@ -499,12 +500,11 @@ def teacher_student_sweep(cfg, alphas, sigma1s, n_test, n_weights):
         teacher, train = teacher_student_problem(cfg)
         grid = [(a, s) for a in sorted(map(float, alphas)) for s in sorted(map(float, sigma1s))]
         seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1,))
-        test, rng = _test_set(teacher, n_test, n_weights, seed)
-        noise = rng.standard_normal((n_weights, cfg.d * cfg.m**2))
+        test, noise = _common_draws(teacher, n_test, n_weights, cfg.d * cfg.m**2, seed)
 
         def point(i):
             posterior = teacher_student_posterior(cfg, train, *grid[i])
-            return (*grid[i], *_risk(posterior.layers_of, noise, test))
+            return (*grid[i], *_risk(posterior.layers_of, test, noise))
 
         return _on_threads(len(grid), point)
 

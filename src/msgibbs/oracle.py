@@ -52,8 +52,9 @@ def minimize_tabular(objective, f, q, sched, chain):
     w_i = lam * sigma_i; ``"max-entropy"`` (lam * E[f] - multiscale H) has a = lam,
     w_i = sigma_i and log q_i = 0, a reference that carries no information.  ``q`` is
     ignored for the entropy objective and must be strictly positive otherwise.
-    Deterministic: fixed uniform start and iteration order.  The first step is
-    1 / sum_i w_i, which solves a single scale exactly.  A proposal is an ascent, and
+    Deterministic: fixed uniform start and iteration order.  A scale past the first whose
+    image has one state adds exactly 0 and is left out.  The first step is 1 / sum_i w_i
+    over the rest, which solves a single scale exactly.  A proposal is an ascent, and
     halves the step, if its value rises by more than n eps times the sum of the value's
     term magnitudes, ``|log p_i| + |log q_i|`` for each log ratio (n states, eps the machine
     epsilon): the rounding bound of that sum.
@@ -71,7 +72,7 @@ def minimize_tabular(objective, f, q, sched, chain):
     for t in chain:
         comps.append(t.map[comps[-1]])
     sigma = np.asarray(sched.sigma)
-    active = np.flatnonzero(sigma).tolist()
+    active = [i for i in np.flatnonzero(sigma).tolist() if i == 0 or sizes[i] > 1]
 
     def log_marginal(probs, i):
         marg = probs if i == 0 else np.bincount(comps[i], weights=probs, minlength=sizes[i])
@@ -103,7 +104,7 @@ def minimize_tabular(objective, f, q, sched, chain):
         return value, magnitude, grad
 
     log_p = np.full(space.size, -math.log(space.size))
-    step = 1.0 / float(weights.sum())
+    step = 1.0 / float(weights[active].sum())
     rounding = space.size * np.finfo(float).eps
     prev_value, prev_magnitude, grad = objective_and_grad(log_p)
     for iteration in range(TOL.oracle_max_iterations):

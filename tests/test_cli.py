@@ -341,6 +341,36 @@ def test_experiment_workers_below_one_is_a_config_error(capsys, workers):
     assert_one_config_error_line(captured.err)
 
 
+@pytest.mark.parametrize("extra", [[], ["--bogus"], ["--workers", "x"]])
+def test_usage_errors_exit_1(capsys, extra):
+    # without --config, with an unknown flag, with a non-integer --workers
+    config = [] if not extra else ["--config", str(CONFIGS / "experiment_smoke.json")]
+    assert run(["experiment", *config, *extra]) == cli.EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: msgibbs")
+
+
+@pytest.mark.parametrize("flag", ["--version", "--help"])
+def test_version_and_help_exit_0(capsys, flag):
+    assert run([flag]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert out == f"{cli.__version__}\n" if flag == "--version" else out.startswith("usage:")
+
+
+@pytest.mark.parametrize(
+    "command, config, bound",
+    [("solve-tabular", CONFIGS / "solve_tabular_binary3.json", "VERIFY_TV"),
+     ("solve-gaussian", GOLDEN / "solve_gaussian_max_entropy.config.json",
+      "GAUSSIAN_CONSISTENCY")],
+)
+def test_a_failed_verification_exits_2(tmp_path, monkeypatch, command, config, bound):
+    monkeypatch.setattr(cli, bound, -1.0)
+    out = tmp_path / "out.json"
+    assert run([command, "--config", str(config), "--out", str(out)]) == cli.EXIT_VERIFY_FAILED
+    assert json.loads(out.read_text())["verified"] is False
+
+
 def test_bounds_dirac_report(tmp_path):
     out = tmp_path / "bounds.json"
     code = run(

@@ -568,6 +568,17 @@ def test_an_error_on_a_point_thread_reaches_the_caller_after_every_thread_ends(m
     assert fuse.locked() and threading.active_count() == before
 
 
+def test_population_risk_mc_rejects_weights_that_are_not_finite():
+    # a TeacherStudentPosterior checks nothing when built: the risk checks each block of draws
+    teacher, train = mn.teacher_student_problem(SWEEP_CFG)
+    posterior = mn.teacher_student_posterior(SWEEP_CFG, train, 0.5, 1e-4)
+    mean = posterior.mean.copy()
+    mean[0, 0, 0] = np.inf
+    with pytest.raises(ValueError, match="weights must be finite"):
+        mn.population_risk_mc(dataclasses.replace(posterior, mean=mean), teacher, SWEEP_CFG,
+                              10, 5, 0)
+
+
 @pytest.mark.parametrize("n_test, n_weights", [(0, 5), (5, 0), (-1, 5)])
 def test_population_risk_mc_needs_a_test_input_and_a_weight_draw(n_test, n_weights):
     teacher, train = mn.teacher_student_problem(SWEEP_CFG)

@@ -192,6 +192,24 @@ def test_mirror_descent_converges_at_large_lambda(lam, alpha, sigma1):
     assert mt.total_variation(exact, descent) <= TOL.oracle_agreement_tv
 
 
+@pytest.mark.parametrize("kind", ["max-entropy", "min-relative-entropy"])
+@pytest.mark.parametrize("last_sigma", [1e3, 1e6, 1e10])
+def test_mirror_descent_leaves_out_a_one_state_scale(kind, last_sigma):
+    # a one-state scale's term is identically 0; kept in, its weight would shrink the first
+    # step, and the rounding of its marginal's log would stall the descent or collapse the step
+    rng = np.random.default_rng(0)
+    space = mt.ProductSpace((4, 4))
+    f = mt.EnergyTable(space, rng.uniform(-2.0, 2.0, space.size))
+    q = random_dist(space, rng)
+    coarse = mt.ScaleMap.decimation(space)
+    chain = [coarse, mt.ScaleMap(coarse.target, mt.ProductSpace((1,)), [0] * coarse.target.size)]
+    sched = ms.TemperatureSchedule(1.0, (1.0, 1.0, last_sigma))
+    _, log_p = mo.exact_tabular(kind, f, q, sched, chain)
+    exact = mt.TabularDist(space, np.exp(log_p))
+    descent = mo.minimize_tabular(kind, f, q, sched, chain)
+    assert mt.total_variation(exact, descent) <= TOL.oracle_agreement_tv
+
+
 SMALL_SIGMA1_CASES = [
     (alpha, sigma1, kind)
     for alpha, sigma1 in [(0.0, 1e-3), (0.5, 1e-3), (0.0, 1e-6), (0.9, 1e-6), (0.0, 1e-8),
